@@ -10,33 +10,27 @@
 use std::error::Error;
 use std::fmt;
 
-/// How a supervisor should treat a failure: worth retrying, or final.
+/// How a supervisor should treat a failure: worth re-executing, or final.
 ///
-/// The campaign supervision layer (`hs_sim::supervise`) retries outcomes
-/// classified [`ErrorClass::Transient`] with bounded, seeded backoff, and
-/// quarantines [`ErrorClass::Permanent`] ones immediately. The taxonomy
-/// lives here, next to [`ConfigError`], so every error type in the
-/// workspace can answer the same question the same way.
+/// The campaign supervision layer (`hs_sim::supervise`) quarantines every
+/// failed run on its one attempt; on resume it replays
+/// [`ErrorClass::Permanent`] outcomes from its journal and re-executes
+/// [`ErrorClass::Transient`] ones. The taxonomy lives here, next to
+/// [`ConfigError`], so every error type in the workspace can answer the
+/// same question the same way.
 ///
 /// The rule of thumb: a failure that is a pure function of the run's
 /// specification (an invalid config, too many workloads, a deterministic
-/// budget overrun) is `Permanent` — re-executing the identical spec
-/// reproduces it. A failure injected by the *environment* (a lost worker,
-/// a wall-clock stall, an interrupted campaign) is `Transient`.
+/// budget overrun, a panic) is `Permanent` — re-executing the identical
+/// spec reproduces it. A failure injected by the *environment* (a lost
+/// worker, a wall-clock overrun, an interrupted campaign) is `Transient`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
-    /// Environmental / nondeterministic: retrying the same spec may succeed.
+    /// Environmental / nondeterministic: re-executing the same spec may
+    /// succeed.
     Transient,
-    /// Deterministic: retrying the same spec reproduces the failure.
+    /// Deterministic: re-executing the same spec reproduces the failure.
     Permanent,
-}
-
-impl ErrorClass {
-    /// Whether a supervisor should retry this failure.
-    #[must_use]
-    pub fn is_transient(self) -> bool {
-        self == ErrorClass::Transient
-    }
 }
 
 impl fmt::Display for ErrorClass {
@@ -115,8 +109,6 @@ mod tests {
     fn config_errors_are_permanent() {
         let e = ConfigError::new("freq_hz", "must be positive");
         assert_eq!(e.class(), ErrorClass::Permanent);
-        assert!(!e.class().is_transient());
-        assert!(ErrorClass::Transient.is_transient());
         assert_eq!(ErrorClass::Transient.to_string(), "transient");
         assert_eq!(ErrorClass::Permanent.to_string(), "permanent");
     }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! campaign [--list] [--only a,b,c] [--jobs N] [--mode cycle|interval]
-//!          [--json PATH] [--check PATH] [--resume] [--retries N]
-//!          [--deadline SECS] [--journal PATH] [--abort-after K]
+//!          [--json PATH] [--check PATH] [--resume] [--deadline SECS]
+//!          [--journal PATH] [--abort-after K]
 //! ```
 //!
 //! * `--list` — print the experiment names, one per line (consumed by
@@ -40,11 +40,12 @@
 //! is given; everything else stays on the fail-fast engine, byte-for-byte.
 //!
 //! * `--resume` — replay the experiment's journal and execute only the
-//!   runs it is missing (crash recovery; the resumed artifact is
-//!   byte-identical to an uninterrupted one).
-//! * `--retries N` — attempts per run for transient failures (default
-//!   from the experiment's supervision, else 1).
-//! * `--deadline SECS` — per-attempt wall-clock deadline.
+//!   runs it is missing, plus any run it recorded as a wall-clock overrun
+//!   (crash recovery; the resumed artifact is byte-identical to an
+//!   uninterrupted one).
+//! * `--deadline SECS` — per-run wall-clock deadline. Every run executes
+//!   once: a run that overruns is quarantined as `timed-out:wall`, and a
+//!   later `--resume` re-executes it.
 //! * `--journal PATH` — run journal location. Default:
 //!   the artifact path with a `.journal.jsonl` extension under `--json`,
 //!   else `<name>.journal.jsonl`. With several experiments selected,
@@ -130,9 +131,7 @@ pub struct Options {
     pub verdicts: Option<PathBuf>,
     /// Resume from each experiment's journal instead of starting fresh.
     pub resume: bool,
-    /// Override: attempts per run for transient failures.
-    pub retries: Option<u32>,
-    /// Override: per-attempt wall-clock deadline.
+    /// Override: per-run wall-clock deadline.
     pub deadline: Option<Duration>,
     /// Override: journal path (directory when several are selected).
     pub journal: Option<PathBuf>,
@@ -206,18 +205,6 @@ impl Options {
                     opts.verdicts = Some(PathBuf::from(v));
                 }
                 "--resume" => opts.resume = true,
-                "--retries" => {
-                    let v = it.next().ok_or("--retries needs a number")?;
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| format!("--retries: `{v}` is not a number"))?;
-                    if n == 0 {
-                        return Err(
-                            "--retries must be at least 1 (the first attempt counts)".into()
-                        );
-                    }
-                    opts.retries = Some(n);
-                }
                 "--deadline" => {
                     let v = it.next().ok_or("--deadline needs seconds")?;
                     let secs: f64 = v
@@ -245,7 +232,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err("usage: campaign [--list] [--only a,b,c] [--jobs N] \
                          [--mode cycle|interval] [--json PATH] [--check PATH] \
-                         [--explain] [--verdicts PATH] [--resume] [--retries N] \
+                         [--explain] [--verdicts PATH] [--resume] \
                          [--deadline SECS] [--journal PATH] [--abort-after K]"
                         .into())
                 }
@@ -285,7 +272,6 @@ impl Options {
     /// Whether any flag asks for the supervised engine.
     fn wants_supervision(&self) -> bool {
         self.resume
-            || self.retries.is_some()
             || self.deadline.is_some()
             || self.journal.is_some()
             || self.abort_after.is_some()
@@ -322,9 +308,6 @@ impl Options {
             return None;
         }
         let mut sup = e.supervision.map_or_else(Supervision::default, |f| f(cfg));
-        if let Some(n) = self.retries {
-            sup.retry.max_attempts = n;
-        }
         if let Some(d) = self.deadline {
             sup.wall_deadline = Some(d);
         }
@@ -336,9 +319,8 @@ impl Options {
     }
 }
 
-/// Validates a previously written artifact: a campaign report, the
-/// `bench` experiment's performance document, or the `analyze`
-/// experiment's static-screening document.
+/// Validates a previously written artifact: a campaign report or the
+/// `analyze` experiment's static-screening document.
 fn check(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -358,12 +340,6 @@ fn check(path: &Path) -> Result<(), String> {
     }
     let doc = Json::parse(&text)
         .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
-    if doc.get("experiment").and_then(Json::as_str) == Some("bench") {
-        let (components, cycles) = crate::experiments::bench::check_artifact(&doc)
-            .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
-        println!("ok: bench artifact, {components} components, {cycles} cycles timed");
-        return Ok(());
-    }
     let verdicts = check_analysis_artifact(&doc)
         .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
     let attacks = verdicts
@@ -468,9 +444,9 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
         let mut out = stdout.lock();
         (e.render)(&cfg, &report, &mut out).map_err(|err| format!("{}: {err}", e.name))?;
         if let Some(build_artifact) = e.artifact {
-            // `--explain`/`--verdicts` interpret *analysis* artifacts; other
-            // artifact-bearing experiments (`bench`) have nothing to explain.
-            if (opts.explain || opts.verdicts.is_some()) && e.name == "analyze" {
+            // `--explain`/`--verdicts` interpret the analysis artifact, the
+            // only custom one in the registry.
+            if opts.explain || opts.verdicts.is_some() {
                 let doc = Json::parse(&build_artifact(&cfg))
                     .map_err(|err| format!("{}: artifact is not JSON: {err}", e.name))?;
                 if opts.explain {
@@ -621,8 +597,6 @@ mod tests {
     fn supervision_flags_parse_and_validate() {
         let opts = parse(&[
             "--resume",
-            "--retries",
-            "3",
             "--deadline",
             "2.5",
             "--journal",
@@ -632,13 +606,11 @@ mod tests {
         ])
         .unwrap();
         assert!(opts.resume);
-        assert_eq!(opts.retries, Some(3));
         assert_eq!(opts.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(opts.journal, Some(PathBuf::from("j.jsonl")));
         assert_eq!(opts.abort_after, Some(4));
         assert!(opts.wants_supervision());
         assert!(!parse(&[]).unwrap().wants_supervision());
-        assert!(parse(&["--retries", "0"]).is_err());
         assert!(parse(&["--deadline", "-1"]).is_err());
         assert!(parse(&["--deadline", "soon"]).is_err());
         assert!(parse(&["--abort-after", "0"]).is_err());
@@ -678,16 +650,17 @@ mod tests {
         let sup = opts
             .supervision_for(chaos, &cfg, 1)
             .expect("chaos is supervised");
-        assert_eq!(sup.retry.max_attempts, 3, "registry default");
+        assert!(sup.cycle_budget.is_some(), "registry default");
         assert!(sup.journal.is_some(), "supervised runs always journal");
         assert!(
             opts.supervision_for(fig3, &cfg, 1).is_none(),
             "paper experiments stay on the fail-fast engine"
         );
         // CLI overrides layer on top of the registry default.
-        let opts = parse(&["--retries", "7"]).unwrap();
+        let opts = parse(&["--deadline", "7"]).unwrap();
         let sup = opts.supervision_for(chaos, &cfg, 1).unwrap();
-        assert_eq!(sup.retry.max_attempts, 7);
+        assert_eq!(sup.wall_deadline, Some(Duration::from_secs(7)));
+        assert!(sup.cycle_budget.is_some(), "the registry default survives");
         assert!(
             opts.supervision_for(fig3, &cfg, 1).is_some(),
             "flags opt any experiment in"

@@ -1,27 +1,24 @@
 //! Chaos: the supervision layer exercised end to end, deterministically.
 //!
-//! A 10-run matrix executed under a seeded [`ChaosPlan`]: two runs (ids 2
-//! and 7) panic on **every** attempt and must land in quarantine; run 9
-//! (the "budget buster") asks for twice the configured quantum and must be
-//! refused by the cycle budget before it executes; the remaining runs see
-//! first-attempt panics/transients at seeded rates that bounded retry
-//! always clears. The quarantine set is therefore exactly `{2, 7, 9}` at
-//! any worker count and any `HS_TIME_SCALE`, and the artifact is
+//! A 10-run matrix executed under a [`ChaosPlan`]: two runs (ids 2 and 7)
+//! panic and must land in quarantine as permanent failures; run 9 (the
+//! "budget buster") asks for twice the configured quantum and must be
+//! refused by the cycle budget before it executes; the remaining runs
+//! complete. The quarantine set is therefore exactly `{2, 7, 9}` at any
+//! worker count and any `HS_TIME_SCALE`, and the artifact is
 //! byte-identical across `--jobs` — CI's `chaos-smoke` job holds the
-//! harness to that.
+//! harness to that, and to kill-then-resume reproducing the artifact.
 //!
 //! Unlike the paper experiments this matrix ignores `HS_SUBSET`: chaos
 //! determinism is a property of the fixed plan, not of the suite.
 
 use hs_sim::{
-    Campaign, CampaignReport, ChaosPlan, HeatSink, PolicyKind, RetryPolicy, RunSpec, SimConfig,
-    Supervision,
+    Campaign, CampaignReport, ChaosPlan, HeatSink, PolicyKind, RunSpec, SimConfig, Supervision,
 };
 use hs_workloads::{SpecWorkload, Workload};
 use std::io::{self, Write};
-use std::time::Duration;
 
-/// Run ids that fail permanently by construction (see module docs).
+/// Run ids that panic by construction (see module docs).
 const PERMANENT: [usize; 2] = [2, 7];
 /// The run id whose spec exceeds the cycle budget.
 const BUSTER: usize = 9;
@@ -94,24 +91,13 @@ pub(super) fn build(cfg: &SimConfig) -> Campaign {
 }
 
 /// The supervision the registry attaches to this experiment: cycle budget
-/// sized for exactly one configured run, three attempts with fast seeded
-/// backoff, and the chaos plan described in the module docs. No wall-clock
-/// deadline — everything here must stay wall-time-independent so the
-/// artifact is reproducible on any machine.
+/// sized for exactly one configured run and the chaos plan described in
+/// the module docs. No wall-clock deadline — everything here must stay
+/// wall-time-independent so the artifact is reproducible on any machine.
 pub(super) fn supervision(cfg: &SimConfig) -> Supervision {
     Supervision {
         cycle_budget: Some(cfg.warmup_cycles + cfg.quantum_cycles),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            seed: 0x0C4A_05ED,
-        },
-        chaos: Some(
-            ChaosPlan::seeded(0x48EA_757F)
-                .panic_rate(0.3)
-                .transient_rate(0.3)
-                .permanent(PERMANENT),
-        ),
+        chaos: Some(ChaosPlan::default().permanent(PERMANENT)),
         ..Supervision::default()
     }
 }
@@ -127,7 +113,7 @@ pub(super) fn render(
     )?;
     writeln!(
         out,
-        "   (time scale {}x, quantum {} Mcycles, retries 3, cycle budget = 1 quantum)\n",
+        "   (time scale {}x, quantum {} Mcycles, cycle budget = 1 quantum)\n",
         cfg.time_scale,
         cfg.quantum_cycles / 1_000_000,
     )?;
@@ -151,8 +137,8 @@ pub(super) fn render(
     for q in &report.quarantined {
         writeln!(
             out,
-            "{:>4} {:>14} {:>16} x{}  {}",
-            q.id, q.label, q.kind, q.attempts, q.detail
+            "{:>4} {:>14} {:>16}  {}",
+            q.id, q.label, q.kind, q.detail
         )?;
     }
     let expected: Vec<usize> = PERMANENT.iter().copied().chain([BUSTER]).collect();
@@ -164,7 +150,7 @@ pub(super) fn render(
     )?;
     writeln!(
         out,
-        "supervision kept {} of {} runs despite injected panics and faults",
+        "supervision kept {} of {} runs despite injected panics and a budget overrun",
         report.runs.len(),
         report.runs.len() + report.quarantined.len(),
     )

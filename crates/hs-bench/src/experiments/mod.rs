@@ -19,7 +19,6 @@ use hs_workloads::Workload;
 use std::io::{self, Write};
 
 mod analyze;
-pub(crate) mod bench;
 mod chaos;
 mod fastfwd;
 mod fig3;
@@ -57,12 +56,12 @@ pub struct Experiment {
     /// experiment) runs on the fail-fast engine exactly as before;
     /// `Some` routes through `Campaign::run_supervised` — used by `chaos`,
     /// which injects faults that *must* be supervised. CLI supervision
-    /// flags (`--retries`, `--deadline`, …) layer on top of this.
+    /// flags (`--deadline`, `--journal`, …) layer on top of this.
     pub supervision: Option<fn(&SimConfig) -> Supervision>,
 }
 
 /// Every experiment, in the canonical `run_experiments.sh` order.
-pub static EXPERIMENTS: [Experiment; 18] = [
+pub static EXPERIMENTS: [Experiment; 17] = [
     Experiment {
         name: "table1",
         title: "Table 1: system parameters",
@@ -184,14 +183,6 @@ pub static EXPERIMENTS: [Experiment; 18] = [
         supervision: None,
     },
     Experiment {
-        name: "bench",
-        title: "Perf baseline: wall-clock and throughput of the hot paths",
-        build: bench::build,
-        render: bench::render,
-        artifact: Some(bench::artifact),
-        supervision: None,
-    },
-    Experiment {
         name: "fastfwd",
         title: "Interval mode: cycle-accurate vs fast-forward differential",
         build: fastfwd::build,
@@ -201,7 +192,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
     },
     Experiment {
         name: "chaos",
-        title: "Supervision: injected faults, retries, quarantine, resume",
+        title: "Supervision: injected panics, cycle budget, quarantine, resume",
         build: chaos::build,
         render: chaos::render,
         artifact: None,

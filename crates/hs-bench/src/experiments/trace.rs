@@ -5,7 +5,9 @@
 //! The trace is cycle-level, not quantum-level, so it bypasses the
 //! campaign engine: the matrix is empty and the renderer streams the CSV
 //! directly, once per policy. Lines starting with `#` separate the two
-//! sections.
+//! sections. Like `Simulator`, it hands the policy every monitor sample at
+//! that sample's own cycle, and steps the thermal network before the
+//! sample that closes a sensor interval, the only one marked fresh.
 
 use hs_core::{BlockCounts, DtmInput, SelectiveSedation, StopAndGo, ThermalPolicy};
 use hs_cpu::pipeline::FetchGate;
@@ -22,7 +24,7 @@ pub(super) fn build(_cfg: &SimConfig) -> Campaign {
 
 fn trace_one(
     cfg: &SimConfig,
-    mut policy: Box<dyn ThermalPolicy>,
+    policy: &mut dyn ThermalPolicy,
     out: &mut dyn Write,
 ) -> io::Result<()> {
     let mut cpu = Cpu::new(cfg.cpu, cfg.mem);
@@ -51,10 +53,11 @@ fn trace_one(
         "cycle,t_intreg_k,t_spreader_k,stalled,victim_gated,attacker_gated,victim_rate,attacker_rate"
     )?;
     let steps = (cfg.quantum_cycles / sensor).min(4000);
+    let samples = sensor / sample;
     for step in 1..=steps {
         let mut block_counts = BlockCounts::new();
         let mut rates = [0u64; 2];
-        for _ in 0..(sensor / sample) {
+        for k in 1..=samples {
             if !stalled {
                 for _ in 0..sample {
                     cpu.tick(gate);
@@ -72,10 +75,17 @@ fn trace_one(
                 }
             }
             power_accum.merge(&counts);
+            let sensor_fresh = k == samples;
+            if sensor_fresh {
+                let power = model.power(&power_accum, sensor, cfg.freq_hz);
+                power_accum.clear();
+                net.step(dt, &power);
+                temps = net.block_temps();
+            }
             let d = policy.on_sample(&DtmInput {
                 sensor_valid: &hs_core::policy::ALL_SENSORS_VALID,
-                sensor_fresh: true,
-                cycle: step * sensor,
+                sensor_fresh,
+                cycle: (step - 1) * sensor + k * sample,
                 block_temps: &temps,
                 counts: &block_counts,
                 global_stalled: stalled,
@@ -84,10 +94,6 @@ fn trace_one(
             gate = d.gate;
             block_counts.clear();
         }
-        let power = model.power(&power_accum, sensor, cfg.freq_hz);
-        power_accum.clear();
-        net.step(dt, &power);
-        temps = net.block_temps();
         writeln!(
             out,
             "{},{:.3},{:.3},{},{},{},{:.3},{:.3}",
@@ -114,6 +120,47 @@ pub(super) fn render(
     _report: &CampaignReport,
     out: &mut dyn Write,
 ) -> io::Result<()> {
-    trace_one(cfg, Box::new(StopAndGo::new(cfg.sedation.thresholds)), out)?;
-    trace_one(cfg, Box::new(SelectiveSedation::new(cfg.sedation, 2)), out)
+    trace_one(cfg, &mut StopAndGo::new(cfg.sedation.thresholds), out)?;
+    trace_one(cfg, &mut SelectiveSedation::new(cfg.sedation, 2), out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hs_core::DtmDecision;
+
+    /// Records the `(cycle, sensor_fresh)` of every sample it is handed.
+    #[derive(Default)]
+    struct Recorder(Vec<(u64, bool)>);
+
+    impl ThermalPolicy for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn on_sample(&mut self, input: &DtmInput<'_>) -> DtmDecision {
+            self.0.push((input.cycle, input.sensor_fresh));
+            DtmDecision::default()
+        }
+    }
+
+    #[test]
+    fn samples_carry_their_own_cycle_and_freshness_marks_sensor_boundaries() {
+        let mut cfg = SimConfig::scaled(2000.0);
+        cfg.warmup_cycles = 1_000;
+        cfg.quantum_cycles = 5 * cfg.sensor_interval_cycles;
+        let (sample, sensor) = (
+            cfg.sedation.sample_period_cycles,
+            cfg.sensor_interval_cycles,
+        );
+        assert!(sensor > sample, "several samples per sensor interval");
+
+        let mut recorder = Recorder::default();
+        trace_one(&cfg, &mut recorder, &mut Vec::new()).unwrap();
+        assert_eq!(recorder.0.len() as u64, 5 * sensor / sample);
+        for (i, &(cycle, fresh)) in recorder.0.iter().enumerate() {
+            assert_eq!(cycle, (i as u64 + 1) * sample, "sample {i}");
+            assert_eq!(fresh, cycle % sensor == 0, "sample {i} at cycle {cycle}");
+        }
+    }
 }

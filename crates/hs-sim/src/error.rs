@@ -60,8 +60,8 @@ pub enum SimError {
         second: usize,
     },
     /// The environment — not the run's specification — failed: a worker
-    /// was lost, a campaign was aborted mid-flight, injected chaos fired.
-    /// The one [`ErrorClass::Transient`] variant: supervisors retry it.
+    /// was lost or a campaign was aborted mid-flight. The one
+    /// [`ErrorClass::Transient`] variant.
     Interrupted {
         /// What the environment did.
         what: String,
@@ -117,7 +117,8 @@ impl fmt::Display for SimError {
 }
 
 impl SimError {
-    /// Supervision classification: is this failure worth retrying?
+    /// Supervision classification: would re-executing the same spec fail
+    /// the same way?
     ///
     /// Everything that is a pure function of the run's specification is
     /// [`ErrorClass::Permanent`]; only [`SimError::Interrupted`] — the

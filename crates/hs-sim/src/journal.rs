@@ -10,7 +10,7 @@
 //! ```text
 //! {"journal":"chaos","format":1,"planned":10}                       header
 //! {"id":0,"label":"…","outcome":"completed","stats":{…}}            per run
-//! {"id":2,"label":"…","outcome":"quarantined","attempts":3,"kind":"panicked","detail":"…"}
+//! {"id":2,"label":"…","outcome":"quarantined","kind":"panicked","detail":"…"}
 //! ```
 //!
 //! Every record is written and flushed as one line before the outcome is
@@ -21,6 +21,10 @@
 //! planned run count; resuming with a journal written by a different
 //! campaign is rejected, and every replayed record must match the label
 //! the campaign declares for that run id.
+//!
+//! A run journaled as a wall-clock overrun (`"kind":"timed-out:wall"`) is
+//! not replayed: resume re-executes it and appends its new outcome, so one
+//! run id may carry several records. Replay applies them in line order.
 //!
 //! Journal *line order* is completion order — nondeterministic under a
 //! parallel pool. That is fine: replay keys records by stable run id, and

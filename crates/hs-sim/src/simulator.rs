@@ -211,23 +211,6 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Aggregate cache-hierarchy statistics since construction (warm-up
-    /// included). Used by `campaign bench` to derive accesses-per-second
-    /// throughput figures.
-    #[must_use]
-    pub fn mem_stats(&self) -> hs_mem::LevelStats {
-        self.cpu.mem_stats()
-    }
-
-    /// Thermal-integrator substeps taken since construction; `0` on the
-    /// ideal heat sink (no network is stepped at all).
-    #[must_use]
-    pub fn thermal_substeps(&self) -> u64 {
-        self.thermal
-            .as_ref()
-            .map_or(0, ThermalNetwork::substeps_taken)
-    }
-
     /// Routes issue through the retained reference scheduler instead of the
     /// deferred-drain one. Differential-test hook only: both paths must
     /// produce bit-identical statistics.

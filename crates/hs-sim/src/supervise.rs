@@ -1,4 +1,4 @@
-//! # Campaign supervision: panic isolation, deadlines, retries, chaos
+//! # Campaign supervision: panic isolation, deadlines, quarantine, chaos
 //!
 //! [`Campaign::run`](crate::Campaign::run) is fail-fast: the first bad run
 //! aborts the batch, a panicking run poisons the whole worker pool, and a
@@ -15,37 +15,31 @@
 //!   (every run owns its own `Simulator`).
 //! * **Deadlines** — a deterministic *cycle budget* (a run whose
 //!   `warmup + quantum` exceeds the budget is refused before it executes)
-//!   and a cooperative *wall-clock watchdog* (a run whose attempt overran
-//!   the deadline is discarded and classified [`RunOutcome::TimedOut`]).
-//! * **Retry with seeded backoff** — outcomes classified
-//!   [`ErrorClass::Transient`] are retried up to
-//!   [`RetryPolicy::max_attempts`] times with exponential backoff and
-//!   deterministic jitter drawn from the in-tree [`XorShift64`], keyed by
-//!   `(seed, run id, attempt)` so the delay schedule is a pure function of
-//!   the policy — never of thread timing.
-//! * **Quarantine** — a run that fails permanently (or exhausts its
-//!   attempts) lands in [`CampaignReport::quarantined`] as a
-//!   [`QuarantinedRun`]; the rest of the campaign completes.
+//!   and a cooperative *wall-clock watchdog* (a run that overran the
+//!   deadline is discarded and classified [`RunOutcome::TimedOut`]).
+//! * **Quarantine** — every run executes exactly once. A run that fails
+//!   lands in [`CampaignReport::quarantined`] as a [`QuarantinedRun`];
+//!   the rest of the campaign completes. Runs are deterministic, so
+//!   re-executing a panic or a typed error in place would only repeat it.
 //! * **Crash-safe journal + resume** — with [`Supervision::journal`] set,
 //!   every final outcome is appended to `<name>.journal.jsonl` (one JSON
 //!   record per line, flushed per record); [`Campaign::resume`] replays
 //!   journaled outcomes from disk and executes only the remainder,
-//!   producing a report **byte-identical** to an uninterrupted run.
-//! * **Chaos harness** — a seeded [`ChaosPlan`] injects worker panics,
-//!   stalls, and transient errors keyed by `(run id, attempt)`, so the
-//!   whole ladder above is exercised deterministically in tests and the
-//!   `chaos` registry experiment.
+//!   producing a report **byte-identical** to an uninterrupted run. The
+//!   one [`ErrorClass::Transient`] outcome, a wall-clock overrun, is not
+//!   replayed: resume re-executes it.
+//! * **Chaos harness** — a [`ChaosPlan`] names run ids that panic, so
+//!   panic isolation and quarantine are exercised deterministically in
+//!   tests and the `chaos` registry experiment.
 //!
 //! ## Determinism
 //!
 //! The supervised engine keeps the campaign engine's serial≡parallel
-//! byte-identity contract: outcomes are keyed by stable run id, chaos and
-//! backoff jitter are pure functions of `(seed, run id, attempt)`, and the
-//! serialized report excludes everything scheduling-dependent (attempt
-//! wall times, journal record order). The only nondeterministic input is
-//! the wall-clock watchdog; a spuriously slow attempt is *retried*, so it
-//! can only change in-memory attempt counts, never the artifact — unless
-//! every attempt times out, which supervision treats as a genuine runaway.
+//! byte-identity contract: outcomes are keyed by stable run id, chaos is
+//! a pure function of the run id, and the serialized report excludes
+//! everything scheduling-dependent (run wall times, journal record
+//! order). The only nondeterministic input is the wall-clock watchdog,
+//! which supervision treats as a genuine runaway.
 
 use crate::campaign::{Campaign, CampaignReport, PlannedRun, RunRecord};
 use crate::error::SimError;
@@ -53,7 +47,6 @@ use crate::journal::{Journal, JournalEntry};
 use crate::json::Json;
 use crate::stats::SimStats;
 use hs_core::ErrorClass;
-use hs_thermal::XorShift64;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -62,7 +55,7 @@ use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
 thread_local! {
-    /// Set while this thread executes a supervised attempt, so the panic
+    /// Set while this thread executes a supervised run, so the panic
     /// hook knows the unwind is caught and expected.
     static SUPERVISED: Cell<bool> = const { Cell::new(false) };
 }
@@ -90,14 +83,15 @@ pub enum DeadlineKind {
     /// The deterministic cycle budget: `warmup + quantum` exceeds
     /// [`Supervision::cycle_budget`]. Checked *before* execution, so a
     /// budget-busting run costs nothing — and since the overrun is a pure
-    /// function of the spec, it is permanent (never retried).
+    /// function of the spec, it is permanent (replayed, never re-executed).
     CycleBudget,
-    /// The cooperative wall-clock watchdog: the attempt took longer than
-    /// [`Supervision::wall_deadline`]. Environmental, hence transient.
+    /// The cooperative wall-clock watchdog: the run took longer than
+    /// [`Supervision::wall_deadline`]. Environmental, hence transient:
+    /// [`Campaign::resume`] re-executes it.
     WallClock,
 }
 
-/// The outcome lattice of one supervised attempt.
+/// The outcome lattice of one supervised run.
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
     /// The run finished and produced statistics.
@@ -120,10 +114,10 @@ impl RunOutcome {
         match self {
             RunOutcome::Completed(_) => None,
             RunOutcome::Failed(e) => Some(e.class()),
-            // A panic may be a poisoned environment (chaos, resource
-            // exhaustion); bounded retry decides whether it is sticky.
-            RunOutcome::Panicked { .. } => Some(ErrorClass::Transient),
-            RunOutcome::TimedOut(DeadlineKind::CycleBudget) => Some(ErrorClass::Permanent),
+            // Runs are deterministic: the same spec panics the same way.
+            RunOutcome::Panicked { .. } | RunOutcome::TimedOut(DeadlineKind::CycleBudget) => {
+                Some(ErrorClass::Permanent)
+            }
             RunOutcome::TimedOut(DeadlineKind::WallClock) => Some(ErrorClass::Transient),
         }
     }
@@ -151,7 +145,7 @@ impl RunOutcome {
                 "run needs more cycles than the supervision budget allows".into()
             }
             RunOutcome::TimedOut(DeadlineKind::WallClock) => {
-                "attempt overran the wall-clock deadline".into()
+                "run overran the wall-clock deadline".into()
             }
         }
     }
@@ -164,8 +158,6 @@ pub struct QuarantinedRun {
     pub id: usize,
     /// The run's label.
     pub label: String,
-    /// Attempts spent before quarantining (1 for permanent failures).
-    pub attempts: u32,
     /// Outcome kind tag ([`RunOutcome::kind`]).
     pub kind: String,
     /// Deterministic description of the final failure.
@@ -179,10 +171,15 @@ impl QuarantinedRun {
         Json::Obj(vec![
             ("id".into(), Json::U64(self.id as u64)),
             ("label".into(), Json::Str(self.label.clone())),
-            ("attempts".into(), Json::U64(u64::from(self.attempts))),
             ("kind".into(), Json::Str(self.kind.clone())),
             ("detail".into(), Json::Str(self.detail.clone())),
         ])
+    }
+
+    /// Whether the run overran the wall-clock deadline: the one transient
+    /// outcome, which [`Campaign::resume`] re-executes instead of replaying.
+    fn is_wall_overrun(&self) -> bool {
+        self.kind == RunOutcome::TimedOut(DeadlineKind::WallClock).kind()
     }
 
     /// Reconstructs a record from [`QuarantinedRun::to_json`] output.
@@ -203,136 +200,33 @@ impl QuarantinedRun {
                 .and_then(Json::as_u64)
                 .ok_or("missing integer `id`")? as usize,
             label: str_of("label")?,
-            attempts: u32::try_from(
-                v.get("attempts")
-                    .and_then(Json::as_u64)
-                    .ok_or("missing integer `attempts`")?,
-            )
-            .map_err(|_| "`attempts` overflows u32".to_string())?,
             kind: str_of("kind")?,
             detail: str_of("detail")?,
         })
     }
 }
 
-/// Bounded, deterministic retry.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per run, including the first (min 1).
-    pub max_attempts: u32,
-    /// Base backoff before attempt 2; doubles per further attempt.
-    pub backoff: Duration,
-    /// Seed for the jitter stream (mixed with run id and attempt).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::from_millis(10),
-            seed: 0x4845_4154_5354_524F, // "HEATSTRO"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before `attempt + 1` of run `run_id`: exponential in the
-    /// attempt number with jitter in `[0.5, 1.5)` drawn from a stream
-    /// seeded by `(seed, run_id, attempt)` — a pure function, so the
-    /// backoff schedule is reproducible and testable.
-    #[must_use]
-    pub fn delay(&self, run_id: usize, attempt: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let shift = (attempt.saturating_sub(1)).min(16);
-        let exp = self.backoff.saturating_mul(1 << shift);
-        let mut rng = XorShift64::new(
-            self.seed
-                ^ (run_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ u64::from(attempt).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
-        exp.mul_f64(0.5 + rng.next_f64())
-    }
-}
-
-/// What chaos injects into one attempt.
+/// What chaos injects into a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// Nothing; the attempt runs normally.
+    /// Nothing; the run executes normally.
     None,
     /// Panic inside the worker before the run executes.
     Panic,
-    /// Sleep for the plan's stall duration, then run normally (a wall
-    /// deadline shorter than the stall converts this into a timeout).
-    Stall,
-    /// Return a transient [`SimError::Interrupted`] instead of running.
-    Transient,
 }
 
-/// A deterministic fault schedule for the supervision layer itself.
-///
-/// Events are a pure function of `(seed, run id, attempt)` — never of
-/// worker identity or timing — so a chaotic campaign is exactly as
-/// reproducible as a clean one. Two regimes:
-///
-/// * **Seeded rates** (`panic_rate`/`transient_rate`/`stall_rate`): fire
-///   on the *first* attempt only, so bounded retry always clears them.
-///   This keeps the quarantine set exactly equal to the planned one.
-/// * **Planned permanent failures** (`permanent`): those run ids panic on
-///   *every* attempt, so they deterministically exhaust their retries and
-///   land in quarantine.
+/// A deterministic fault schedule for the supervision layer itself: the
+/// run ids in [`ChaosPlan::permanent`] panic, every other run executes
+/// normally. Events are a pure function of the run id — never of worker
+/// identity or timing — so a chaotic campaign is exactly as reproducible
+/// as a clean one, and the quarantine set equals the planned one.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
-    seed: u64,
-    panic_rate: f64,
-    transient_rate: f64,
-    stall_rate: f64,
-    stall: Duration,
     permanent: Vec<usize>,
 }
 
 impl ChaosPlan {
-    /// A plan with the given seed and no events.
-    #[must_use]
-    pub fn seeded(seed: u64) -> Self {
-        ChaosPlan {
-            seed,
-            stall: Duration::from_millis(10),
-            ..ChaosPlan::default()
-        }
-    }
-
-    /// Probability that a first attempt panics.
-    #[must_use]
-    pub fn panic_rate(mut self, rate: f64) -> Self {
-        self.panic_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Probability that a first attempt fails with a transient error.
-    #[must_use]
-    pub fn transient_rate(mut self, rate: f64) -> Self {
-        self.transient_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Probability that a first attempt stalls for [`ChaosPlan::stall_for`].
-    #[must_use]
-    pub fn stall_rate(mut self, rate: f64) -> Self {
-        self.stall_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// How long an injected stall sleeps.
-    #[must_use]
-    pub fn stall_for(mut self, stall: Duration) -> Self {
-        self.stall = stall;
-        self
-    }
-
-    /// Run ids that fail on every attempt (the planned quarantine set).
+    /// Run ids that panic (the planned quarantine set).
     #[must_use]
     pub fn permanent(mut self, ids: impl IntoIterator<Item = usize>) -> Self {
         self.permanent.extend(ids);
@@ -345,34 +239,11 @@ impl ChaosPlan {
         &self.permanent
     }
 
-    /// The stall duration injected by [`ChaosEvent::Stall`].
+    /// The event for one run — a pure function of the plan and the run id.
     #[must_use]
-    pub fn stall_duration(&self) -> Duration {
-        self.stall
-    }
-
-    /// The event for one attempt — a pure function of the plan and the
-    /// `(run_id, attempt)` pair.
-    #[must_use]
-    pub fn event(&self, run_id: usize, attempt: u32) -> ChaosEvent {
+    pub fn event(&self, run_id: usize) -> ChaosEvent {
         if self.permanent.contains(&run_id) {
-            return ChaosEvent::Panic;
-        }
-        if attempt > 1 {
-            // Rate-based faults are first-attempt only: retries are clean,
-            // so the quarantine set stays exactly the planned one.
-            return ChaosEvent::None;
-        }
-        let mut rng = XorShift64::new(
-            self.seed ^ (run_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x000C_4A05,
-        );
-        let x = rng.next_f64();
-        if x < self.panic_rate {
             ChaosEvent::Panic
-        } else if x < self.panic_rate + self.transient_rate {
-            ChaosEvent::Transient
-        } else if x < self.panic_rate + self.transient_rate + self.stall_rate {
-            ChaosEvent::Stall
         } else {
             ChaosEvent::None
         }
@@ -386,10 +257,8 @@ pub struct Supervision {
     /// Deterministic per-run cycle budget (`warmup + quantum` must not
     /// exceed it); `None` disables the check.
     pub cycle_budget: Option<u64>,
-    /// Cooperative per-attempt wall-clock deadline; `None` disables it.
+    /// Cooperative per-run wall-clock deadline; `None` disables it.
     pub wall_deadline: Option<Duration>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Fault injection for the supervision layer itself.
     pub chaos: Option<ChaosPlan>,
     /// Append-only run journal path (`<name>.journal.jsonl`); `None`
@@ -401,9 +270,6 @@ pub struct Supervision {
     pub abort_after: Option<usize>,
 }
 
-// Default for Supervision derives field-wise; RetryPolicy::default() is
-// max_attempts 1, i.e. supervision without retries.
-
 /// A run's final supervised disposition.
 #[derive(Debug)]
 enum Done {
@@ -413,10 +279,10 @@ enum Done {
 
 impl Campaign {
     /// Executes the matrix under supervision: panics are isolated,
-    /// deadlines enforced, transient failures retried, permanent ones
-    /// quarantined, and (with [`Supervision::journal`] set) every outcome
-    /// journaled crash-safely. An existing journal file is **truncated**;
-    /// use [`Campaign::resume`] to continue one.
+    /// deadlines enforced, failed runs quarantined, and (with
+    /// [`Supervision::journal`] set) every outcome journaled crash-safely.
+    /// An existing journal file is **truncated**; use [`Campaign::resume`]
+    /// to continue one.
     ///
     /// # Errors
     ///
@@ -432,11 +298,12 @@ impl Campaign {
     }
 
     /// Like [`Campaign::run_supervised`], but if the journal file already
-    /// exists its completed and quarantined runs are **replayed from
-    /// disk** and only the remainder executes. The resulting report is
-    /// byte-identical to an uninterrupted run (journaled statistics
-    /// round-trip bit-exactly). Without an existing journal this is a
-    /// fresh supervised run.
+    /// exists its completed and permanently quarantined runs are
+    /// **replayed from disk** and only the remainder executes — including
+    /// runs journaled as wall-clock overruns, the one transient outcome.
+    /// The resulting report is byte-identical to an uninterrupted run
+    /// (journaled statistics round-trip bit-exactly). Without an existing
+    /// journal this is a fresh supervised run.
     ///
     /// # Errors
     ///
@@ -472,10 +339,13 @@ impl Campaign {
                         JournalEntry::Completed { id, stats } => {
                             slots[id] = Some(Done::Completed(stats));
                         }
-                        JournalEntry::Quarantined(q) => {
+                        // A wall-clock overrun depends on the host, not the
+                        // spec, so it re-executes instead of replaying.
+                        JournalEntry::Quarantined(q) if !q.is_wall_overrun() => {
                             let id = q.id;
                             slots[id] = Some(Done::Quarantined(q));
                         }
+                        JournalEntry::Quarantined(_) => {}
                     }
                 }
                 Some(journal)
@@ -566,36 +436,23 @@ impl Campaign {
     }
 }
 
-/// Runs one planned run to its final disposition: retry transient
-/// failures per the policy, quarantine permanent ones.
+/// Runs one planned run to its final disposition: completed, or
+/// quarantined on its one attempt.
 fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision) -> Done {
-    let max_attempts = sup.retry.max_attempts.max(1);
-    for attempt in 1..=max_attempts {
-        let outcome = attempt_once(run, id, attempt, sup);
-        let Some(class) = outcome.class() else {
-            let RunOutcome::Completed(stats) = outcome else {
-                unreachable!("only Completed classifies as None")
-            };
-            return Done::Completed(stats);
-        };
-        if class.is_transient() && attempt < max_attempts {
-            std::thread::sleep(sup.retry.delay(id, attempt));
-            continue;
-        }
-        return Done::Quarantined(QuarantinedRun {
+    match attempt_once(run, id, sup) {
+        RunOutcome::Completed(stats) => Done::Completed(stats),
+        failed => Done::Quarantined(QuarantinedRun {
             id,
             label: run.label.clone(),
-            attempts: attempt,
-            kind: outcome.kind().to_string(),
-            detail: outcome.detail(),
-        });
+            kind: failed.kind().to_string(),
+            detail: failed.detail(),
+        }),
     }
-    unreachable!("attempt loop always returns")
 }
 
 /// One supervised attempt: cycle-budget gate, chaos injection, panic
 /// isolation, wall-clock check.
-fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) -> RunOutcome {
+fn attempt_once(run: &PlannedRun, id: usize, sup: &Supervision) -> RunOutcome {
     if let Some(budget) = sup.cycle_budget {
         let cfg = run.spec.config();
         let needed = cfg.warmup_cycles.saturating_add(cfg.quantum_cycles);
@@ -603,33 +460,18 @@ fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) ->
             return RunOutcome::TimedOut(DeadlineKind::CycleBudget);
         }
     }
-    let chaos = sup
-        .chaos
-        .as_ref()
-        .map_or(ChaosEvent::None, |p| p.event(id, attempt));
-    if chaos == ChaosEvent::Transient {
-        return RunOutcome::Failed(SimError::Interrupted {
-            what: format!("chaos: injected transient fault (attempt {attempt})"),
-        });
-    }
-    let stall = sup
-        .chaos
-        .as_ref()
-        .map_or(Duration::ZERO, ChaosPlan::stall_duration);
+    let chaos = sup.chaos.as_ref().map_or(ChaosEvent::None, |p| p.event(id));
     let label = &run.label;
     let started = Instant::now();
     let work = || {
-        if chaos == ChaosEvent::Stall {
-            std::thread::sleep(stall);
-        }
         assert!(
             chaos != ChaosEvent::Panic,
-            "chaos: injected panic in `{label}` (attempt {attempt})"
+            "chaos: injected panic in `{label}`"
         );
         run.spec.try_run()
     };
-    // `RunSpec` is plain data and each attempt builds a fresh `Simulator`,
-    // so nothing observable survives an unwind: AssertUnwindSafe is sound.
+    // `RunSpec` is plain data and each run builds a fresh `Simulator`, so
+    // nothing observable survives an unwind: AssertUnwindSafe is sound.
     SUPERVISED.with(|s| s.set(true));
     let caught = catch_unwind(AssertUnwindSafe(work));
     SUPERVISED.with(|s| s.set(false));
@@ -643,9 +485,9 @@ fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) ->
     };
     if let Some(limit) = sup.wall_deadline {
         if started.elapsed() > limit {
-            // The attempt's result is discarded even when Ok: a run that
-            // overran its deadline is a runaway by definition, and keeping
-            // the result would make the report depend on scheduling luck.
+            // The result is discarded even when Ok: a run that overran its
+            // deadline is a runaway by definition, and keeping the result
+            // would make the report depend on scheduling luck.
             return RunOutcome::TimedOut(DeadlineKind::WallClock);
         }
     }
@@ -671,57 +513,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::from_millis(8),
-            seed: 7,
-        };
-        assert_eq!(policy.delay(3, 1), policy.delay(3, 1));
-        assert_ne!(
-            policy.delay(3, 1),
-            policy.delay(4, 1),
-            "jitter keys on run id"
-        );
-        // Jitter is bounded to [0.5, 1.5) of the exponential base.
-        for attempt in 1..=3 {
-            let d = policy.delay(0, attempt);
-            let base = Duration::from_millis(8 << (attempt - 1));
-            assert!(d >= base / 2 && d < base * 3 / 2, "{d:?} vs base {base:?}");
-        }
-        let zero = RetryPolicy {
-            backoff: Duration::ZERO,
-            ..policy
-        };
-        assert_eq!(zero.delay(0, 1), Duration::ZERO);
-    }
-
-    #[test]
     fn chaos_events_are_pure_and_first_attempt_only() {
-        let plan = ChaosPlan::seeded(11)
-            .panic_rate(0.3)
-            .transient_rate(0.3)
-            .stall_rate(0.2)
-            .permanent([5]);
-        let mut fired = 0;
+        // Every run has exactly one attempt, and chaos fires on it only for
+        // the planned ids.
+        let plan = ChaosPlan::default().permanent([5, 9]);
         for id in 0..40 {
-            let e = plan.event(id, 1);
-            assert_eq!(e, plan.event(id, 1), "pure function of (id, attempt)");
-            if e != ChaosEvent::None {
-                fired += 1;
-            }
-            if id != 5 {
-                assert_eq!(plan.event(id, 2), ChaosEvent::None, "retries are clean");
-            }
+            let e = plan.event(id);
+            assert_eq!(e, plan.event(id), "pure function of the run id");
+            let planned = id == 5 || id == 9;
+            assert_eq!(e == ChaosEvent::Panic, planned, "run {id}");
         }
-        assert!(fired > 5, "rates must actually fire ({fired}/40)");
-        for attempt in 1..=4 {
-            assert_eq!(
-                plan.event(5, attempt),
-                ChaosEvent::Panic,
-                "permanent ids stick"
-            );
-        }
+        assert_eq!(plan.permanent_ids(), [5, 9]);
+        assert_eq!(ChaosPlan::default().event(5), ChaosEvent::None);
     }
 
     #[test]
@@ -739,7 +542,8 @@ mod tests {
                 message: "x".into()
             }
             .class(),
-            Some(ErrorClass::Transient)
+            Some(ErrorClass::Permanent),
+            "a deterministic run panics the same way every time"
         );
         assert_eq!(
             RunOutcome::Failed(SimError::NoWorkloads).class(),

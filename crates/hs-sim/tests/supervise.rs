@@ -1,9 +1,10 @@
 //! Integration tests for the campaign supervision layer: determinism under
-//! chaos, panic isolation, deadlines, retry, and journal + resume.
+//! chaos, panic isolation, deadlines, quarantine, and journal + resume.
 
+use hs_core::ErrorClass;
 use hs_sim::campaign::CampaignMatrix;
 use hs_sim::{
-    Campaign, ChaosPlan, HeatSink, PolicyKind, RetryPolicy, RunSpec, SimConfig, SimError,
+    Campaign, ChaosPlan, HeatSink, PolicyKind, RunOutcome, RunSpec, SimConfig, SimError,
     Supervision,
 };
 use hs_workloads::{SpecWorkload, Workload};
@@ -29,15 +30,6 @@ fn matrix(name: &str) -> Campaign {
         .sink(HeatSink::Ideal)
         .build(name)
         .expect("valid matrix")
-}
-
-/// Immediate-retry policy so tests never sleep.
-fn fast_retry(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        backoff: Duration::ZERO,
-        seed: 42,
-    }
 }
 
 /// A scratch path unique to this test, cleaned before use.
@@ -69,13 +61,7 @@ fn supervision_without_faults_matches_the_plain_engine() {
 fn chaos_is_deterministic_across_worker_counts() {
     let campaign = matrix("chaos-det");
     let sup = Supervision {
-        retry: fast_retry(3),
-        chaos: Some(
-            ChaosPlan::seeded(1905)
-                .panic_rate(0.4)
-                .transient_rate(0.3)
-                .permanent([1, 3]),
-        ),
+        chaos: Some(ChaosPlan::default().permanent([1, 3])),
         ..Supervision::default()
     };
     let reports: Vec<String> = [1, 4, 64]
@@ -94,7 +80,6 @@ fn chaos_is_deterministic_across_worker_counts() {
     let ids: Vec<usize> = report.quarantined.iter().map(|q| q.id).collect();
     assert_eq!(ids, vec![1, 3], "quarantine set == planned permanent set");
     for q in &report.quarantined {
-        assert_eq!(q.attempts, 3, "permanent faults exhaust the retry budget");
         assert_eq!(q.kind, "panicked");
         assert!(
             q.detail.contains("chaos"),
@@ -109,7 +94,7 @@ fn chaos_is_deterministic_across_worker_counts() {
 fn panic_isolation_keeps_the_pool_alive() {
     let campaign = matrix("panics");
     let sup = Supervision {
-        chaos: Some(ChaosPlan::seeded(7).permanent([0])),
+        chaos: Some(ChaosPlan::default().permanent([0])),
         ..Supervision::default()
     };
     let report = campaign
@@ -117,44 +102,46 @@ fn panic_isolation_keeps_the_pool_alive() {
         .expect("pool survives the panic");
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].id, 0);
-    assert_eq!(
-        report.quarantined[0].attempts, 1,
-        "default policy has no retries"
-    );
     assert_eq!(report.runs.len(), 5);
 }
 
 #[test]
-fn retry_clears_transient_faults_but_one_attempt_does_not() {
-    let campaign = matrix("transients");
-    let all_transient = ChaosPlan::seeded(3).transient_rate(1.0);
-    let retried = Supervision {
-        retry: fast_retry(2),
-        chaos: Some(all_transient.clone()),
+fn a_panic_is_permanent_and_quarantined_on_its_one_attempt() {
+    let campaign = matrix("panic-permanent");
+    let path = scratch("panic-permanent");
+    let chaotic = Supervision {
+        chaos: Some(ChaosPlan::default().permanent([4])),
+        journal: Some(path.clone()),
         ..Supervision::default()
     };
-    let report = campaign.run_supervised(2, &retried).expect("supervised");
-    assert!(
-        report.quarantined.is_empty(),
-        "attempt 2 is clean by construction"
-    );
-    assert_eq!(report.runs.len(), 6);
-
-    let single_shot = Supervision {
-        retry: fast_retry(1),
-        chaos: Some(all_transient),
-        ..Supervision::default()
+    let report = campaign.run_supervised(2, &chaotic).expect("supervised");
+    assert_eq!(report.runs.len(), 5);
+    let [q] = report.quarantined.as_slice() else {
+        panic!("one quarantined run, got {:?}", report.quarantined);
     };
-    let report = campaign
-        .run_supervised(2, &single_shot)
-        .expect("supervised");
+    assert_eq!((q.id, q.kind.as_str()), (4, "panicked"));
     assert_eq!(
-        report.quarantined.len(),
-        6,
-        "no retry budget, everything quarantines"
+        RunOutcome::Panicked {
+            message: q.detail.clone()
+        }
+        .class(),
+        Some(ErrorClass::Permanent)
     );
-    assert!(report.quarantined.iter().all(|q| q.kind == "failed"));
-    assert!(report.runs.is_empty());
+
+    // One attempt, one journal record: nothing re-executed the panic.
+    let journal = std::fs::read_to_string(&path).expect("journal");
+    let records = journal.lines().filter(|l| l.starts_with("{\"id\":4,"));
+    assert_eq!(records.count(), 1, "{journal}");
+
+    // Permanent means final: resume replays the quarantine even once the
+    // chaos that caused it is gone.
+    let clean = Supervision {
+        journal: Some(path.clone()),
+        ..Supervision::default()
+    };
+    let resumed = campaign.resume(2, &clean).expect("resume");
+    assert_eq!(resumed.to_json(), report.to_json());
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -186,7 +173,6 @@ fn cycle_budget_refuses_busters_before_they_execute() {
     );
     let sup = Supervision {
         cycle_budget: Some(budget),
-        retry: fast_retry(5),
         ..Supervision::default()
     };
     let report = campaign.run_supervised(2, &sup).expect("supervised");
@@ -195,18 +181,15 @@ fn cycle_budget_refuses_busters_before_they_execute() {
     let q = &report.quarantined[0];
     assert_eq!(q.label, "buster");
     assert_eq!(q.kind, "timed-out:cycles");
-    assert_eq!(
-        q.attempts, 1,
-        "a deterministic overrun is permanent: never retried"
-    );
 }
 
 #[test]
-fn wall_deadline_times_out_runaways() {
+fn wall_deadline_times_out_runaways_and_resume_re_executes_them() {
     let campaign = matrix("wall");
+    let path = scratch("wall");
     let sup = Supervision {
-        wall_deadline: Some(Duration::ZERO), // every attempt overruns
-        retry: fast_retry(2),
+        wall_deadline: Some(Duration::ZERO), // every run overruns
+        journal: Some(path.clone()),
         ..Supervision::default()
     };
     let report = campaign.run_supervised(2, &sup).expect("supervised");
@@ -214,39 +197,29 @@ fn wall_deadline_times_out_runaways() {
     assert_eq!(report.quarantined.len(), 6);
     for q in &report.quarantined {
         assert_eq!(q.kind, "timed-out:wall");
-        assert_eq!(
-            q.attempts, 2,
-            "wall timeouts are transient: retried to exhaustion"
-        );
     }
-}
 
-#[test]
-fn injected_stalls_complete_under_a_generous_deadline() {
-    let campaign = matrix("stall");
-    let sup = Supervision {
-        wall_deadline: Some(Duration::from_secs(600)),
-        chaos: Some(
-            ChaosPlan::seeded(5)
-                .stall_rate(1.0)
-                .stall_for(Duration::from_millis(5)),
-        ),
-        ..Supervision::default()
-    };
-    let report = campaign.run_supervised(3, &sup).expect("supervised");
-    assert!(
-        report.quarantined.is_empty(),
-        "a stall under the deadline is harmless"
-    );
-    assert_eq!(report.runs.len(), 6);
+    // A wall-clock overrun is the one transient outcome: resume without the
+    // deadline re-executes every such run instead of replaying it.
+    let resumed = campaign
+        .resume(
+            2,
+            &Supervision {
+                journal: Some(path.clone()),
+                ..Supervision::default()
+            },
+        )
+        .expect("resume");
+    let plain = campaign.run(2).expect("plain run");
+    assert_eq!(resumed.to_json(), plain.to_json());
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
     let campaign = matrix("resume");
     let sup = Supervision {
-        retry: fast_retry(2),
-        chaos: Some(ChaosPlan::seeded(9).permanent([2])),
+        chaos: Some(ChaosPlan::default().permanent([2])),
         ..Supervision::default()
     };
 

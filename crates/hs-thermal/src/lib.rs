@@ -51,7 +51,7 @@ pub mod rng;
 pub mod sensors;
 
 pub use block::{Block, ALL_BLOCKS, NUM_BLOCKS};
-pub use config::{ConfigError, Integrator, ThermalConfig};
+pub use config::{ConfigError, ThermalConfig};
 pub use faults::{SensorFault, SensorFaultKind, SensorFaultPlan, SensorFrame, MAX_SENSOR_FAULTS};
 pub use network::ThermalNetwork;
 pub use pole::{phase_decay, relax, AffineFold};
