@@ -9,10 +9,12 @@
 //! * `render(&SimConfig, &CampaignReport, &mut dyn Write)` — turns the
 //!   aggregated, id-ordered report into the experiment's table/figure
 //!   text. Renderers look results up by label and never simulate —
-//!   with three documented exceptions (`table1`, `listings`, `trace`)
-//!   whose output is not made of quantum runs at all; they declare an
-//!   empty matrix and do their own (cheap or streaming) work at render
-//!   time.
+//!   with three documented exceptions that declare an empty matrix and
+//!   do their own work at render time: `table1` and `listings`, whose
+//!   output is not made of quantum runs at all, and `trace`, which
+//!   needs every sensor interval of a run rather than its `SimStats`
+//!   and so runs its own `Simulator` with an `Observer` (honouring
+//!   `--mode`, like every simulation-backed experiment).
 
 use hs_sim::{Campaign, CampaignReport, HeatSink, PolicyKind, RunSpec, SimConfig, Supervision};
 use hs_workloads::Workload;

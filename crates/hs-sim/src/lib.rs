@@ -72,6 +72,6 @@ pub use error::SimError;
 pub use json::{Json, JsonError};
 pub use os::{OsScheduler, ScheduleOutcome, SchedulerConfig};
 pub use runner::{RunSpec, RunSpecBuilder};
-pub use simulator::Simulator;
+pub use simulator::{Observer, SampleView, Simulator};
 pub use stats::{SimStats, ThreadBreakdown, ThreadSummary};
 pub use supervise::{ChaosEvent, ChaosPlan, DeadlineKind, QuarantinedRun, RunOutcome, Supervision};

@@ -1,4 +1,11 @@
 //! The quantum simulator: pipeline + power + thermal + DTM in one loop.
+//!
+//! [`Simulator::try_run_quantum_with`] is that loop. It alternates two
+//! steps until the quantum ends: a *span step* runs the cycles up to the
+//! next monitor sampling instant under the DTM state in force, and a
+//! *sample step* feeds the monitors, steps the thermal model when a
+//! sensor interval closes, asks the policy for the next DTM state and
+//! hands the result to an [`Observer`].
 
 use crate::admission::{screen, AdmissionMode};
 use crate::config::{ExecMode, HeatSink, PolicyKind, SimConfig};
@@ -12,11 +19,48 @@ use hs_core::{
 use hs_cpu::pipeline::FetchGate;
 use hs_cpu::{
     AccessMatrix, Cpu, PhaseDetector, PhaseDetectorConfig, PhaseSample, Resource, ThreadId,
-    ALL_RESOURCES,
+    ALL_RESOURCES, MAX_THREADS,
 };
 use hs_power::{calibration, resource_block, PowerModel};
 use hs_thermal::{SensorBank, ThermalNetwork, ALL_BLOCKS, NUM_BLOCKS};
 use hs_workloads::Workload;
+
+/// What an [`Observer`] sees at one monitor sampling instant, after the
+/// policy has decided.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleView<'a> {
+    /// The sampling instant's cycle within the measured quantum.
+    pub cycle: u64,
+    /// Whether the thermal model was stepped and the sensors re-read at
+    /// this instant (the sample closes a sensor interval).
+    pub sensor_fresh: bool,
+    /// True per-thread access counts since the previous sample, before
+    /// any counter fault corrupts what the monitors see.
+    pub counts: &'a AccessMatrix,
+    /// The sensor readings the policy saw.
+    pub readings: &'a [f64; NUM_BLOCKS],
+    /// The thermal model; `None` under the ideal heat sink.
+    pub thermal: Option<&'a ThermalNetwork>,
+    /// The pipeline-wide stall in force until the next sample.
+    pub global_stall: bool,
+    /// The fetch gates in force until the next sample, admission gates
+    /// included.
+    pub gate: FetchGate,
+}
+
+/// A hook into the quantum loop of [`Simulator::try_run_quantum_with`].
+///
+/// Observers only watch: nothing they do feeds back into the run, so an
+/// observed run's [`SimStats`] equal an unobserved one's. `()` is the
+/// no-op observer [`Simulator::try_run_quantum`] uses.
+pub trait Observer {
+    /// Called once per monitor sampling instant, in cycle order.
+    fn on_sample(&mut self, view: &SampleView<'_>);
+}
+
+impl Observer for () {
+    fn on_sample(&mut self, _view: &SampleView<'_>) {}
+}
 
 /// An execution-driven simulation of one OS quantum on the SMT processor.
 ///
@@ -37,7 +81,8 @@ pub struct Simulator {
     admission_reports: Vec<OsReport>,
 }
 
-/// Adaptive throttle for [`Cpu::idle_bound`] probes.
+/// The tick driver, with an adaptive throttle for [`Cpu::idle_bound`]
+/// probes.
 ///
 /// A failed probe backs off exponentially (up to 8 ticks between probes) so
 /// dense phases pay a fraction of the probe cost; a successful skip resets
@@ -59,24 +104,207 @@ impl IdleProbe {
         }
     }
 
-    fn should_probe(&mut self) -> bool {
-        if self.wait == 0 {
-            true
+    /// Ticks `cpu` for `cycles` cycles under the constant `gate`,
+    /// fast-forwarding through provably idle stall windows instead of
+    /// ticking them one by one.
+    fn tick(&mut self, cpu: &mut Cpu, gate: FetchGate, cycles: u64) {
+        let mut done = 0u64;
+        while done < cycles {
+            cpu.tick(gate);
+            done += 1;
+            if done == cycles {
+                break;
+            }
+            if self.wait > 0 {
+                self.wait -= 1;
+                continue;
+            }
+            let skip = cpu
+                .idle_bound(gate)
+                .map(|b| (b - 1 - cpu.cycle()).min(cycles - done))
+                .unwrap_or(0);
+            if skip > 0 {
+                cpu.skip_idle_cycles(gate, skip);
+                done += skip;
+                self.backoff = 1;
+            } else {
+                self.wait = self.backoff;
+                self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
+            }
+        }
+    }
+}
+
+/// Interval-mode state (DESIGN.md §3d): the phase detector and the
+/// bookkeeping that decides which spans are credited instead of ticked.
+struct IntervalEngine {
+    detector: PhaseDetector,
+    /// Every true block temperature must stay below this for a span to be
+    /// credited.
+    guard_limit: f64,
+    max_skip_samples: u64,
+    /// True block temperatures as of the last sensor step, for the
+    /// thermal guard (sensor *readings* may be faulted or noisy; the
+    /// guard must consult physics).
+    truth_temps: [f64; NUM_BLOCKS],
+    last_committed: Vec<u64>,
+    consec_skips: u64,
+    fast_forwarded: u64,
+    /// Set while the first measured sample after a credit run is still
+    /// pending: that sample rides the post-squash pipeline refill and is
+    /// excluded from phase training.
+    refill_pending: bool,
+    /// Aggregation (`IntervalConfig::aggregate_samples`): the detector
+    /// observes and credits in units of `agg` consecutive samples, so a
+    /// loop longer than one sample period can still present a stationary
+    /// profile. `agg_acc`/`agg_n` build the next measured aggregate;
+    /// `credit_super`/`credit_j` spread a credited aggregate back over its
+    /// constituent sample periods.
+    agg: u64,
+    agg_acc: PhaseSample,
+    agg_n: u64,
+    credit_super: PhaseSample,
+    credit_j: u64,
+    /// Whether every span since the last sensor step was credited; only
+    /// then is the power history exactly phase-constant and the thermal
+    /// state advanced in closed form instead of stepped.
+    sensor_all_credited: bool,
+}
+
+impl IntervalEngine {
+    /// The engine for `cfg`, or `None` when the run is cycle-accurate.
+    /// Fault schedules demand cycle-level fidelity around their firing
+    /// cycles; rather than track proximity, any configured fault keeps the
+    /// whole run cycle-accurate.
+    fn new(cfg: &SimConfig, truth_temps: [f64; NUM_BLOCKS], committed: Vec<u64>) -> Option<Self> {
+        if cfg.exec != ExecMode::Interval || !cfg.faults.is_empty() {
+            return None;
+        }
+        Some(Self {
+            detector: PhaseDetector::new(PhaseDetectorConfig {
+                confirm_samples: cfg.interval.confirm_samples,
+                rel_tol: cfg.interval.rel_tol,
+                abs_slack: cfg.interval.abs_slack,
+            }),
+            guard_limit: cfg.sedation.thresholds.normal_k - cfg.interval.guard_k,
+            max_skip_samples: cfg.interval.max_skip_samples,
+            truth_temps,
+            last_committed: committed,
+            consec_skips: 0,
+            fast_forwarded: 0,
+            refill_pending: false,
+            agg: cfg.interval.aggregate_samples,
+            agg_acc: PhaseSample::zero(),
+            agg_n: 0,
+            credit_super: PhaseSample::zero(),
+            credit_j: 0,
+            sensor_all_credited: true,
+        })
+    }
+
+    /// Decides whether the next span of `span` cycles is credited, and
+    /// returns the activity to credit if so.
+    ///
+    /// `free_running` says the span is a full sample period with no gates
+    /// and no stall. On top of that the phase must be confirmed stable
+    /// with skip allowance left, and every block cold enough that no
+    /// temperature-driven DTM decision is near. A new aggregate credit may
+    /// only start on an aggregate boundary (no verification measurement in
+    /// flight); once started, its remaining slices keep flowing unless
+    /// something breaks in, which abandons them.
+    fn credit(&mut self, free_running: bool, span: u64) -> Option<PhaseSample> {
+        let can_start = self.agg_n == 0
+            && self.detector.is_stable()
+            && self.consec_skips < self.max_skip_samples.min(self.detector.credit_cap());
+        if !free_running
+            || !self.truth_temps.iter().all(|&t| t < self.guard_limit)
+            || (self.credit_j == 0 && !can_start)
+        {
+            self.credit_j = 0;
+            self.sensor_all_credited = false;
+            return None;
+        }
+        if self.credit_j == 0 {
+            self.credit_super = self.detector.credit_next();
+        }
+        let slice = self.credit_super.bresenham_slice(self.credit_j, self.agg);
+        self.credit_j = (self.credit_j + 1) % self.agg;
+        self.fast_forwarded += span;
+        Some(slice)
+    }
+
+    /// Phase bookkeeping at a sampling instant: measured samples train the
+    /// detector; credited samples must not (they would confirm themselves)
+    /// and instead consume skip allowance.
+    fn observe(&mut self, cpu: &Cpu, counts: AccessMatrix, credited: bool) {
+        let mut sample = PhaseSample {
+            committed: [0; MAX_THREADS],
+            counts,
+        };
+        for (t, last) in self.last_committed.iter_mut().enumerate() {
+            let committed = cpu.thread_stats(ThreadId(t as u8)).committed;
+            sample.committed[t] = committed - *last;
+            *last = committed;
+        }
+        if credited {
+            if self.credit_j == 0 {
+                // The slice just applied completed its aggregate.
+                self.consec_skips += 1;
+            }
+            self.refill_pending = true;
+        } else if self.refill_pending {
+            // First measured sample after a credit run: the pipeline is
+            // still refilling from the squash, so this sample is a timing
+            // artifact — neither trained into the profile nor allowed to
+            // reset the skip budget (the *next* measured sample is the
+            // real verify).
+            self.refill_pending = false;
         } else {
-            self.wait -= 1;
-            false
+            self.agg_acc.merge(&sample);
+            self.agg_n += 1;
+            if self.agg_n == self.agg {
+                self.consec_skips = 0;
+                self.detector.observe(&self.agg_acc);
+                self.agg_acc = PhaseSample::zero();
+                self.agg_n = 0;
+            }
         }
     }
 
-    fn hit(&mut self) {
-        self.wait = 0;
-        self.backoff = 1;
+    /// Any DTM state change invalidates the phase profile: activity
+    /// measured under one gating regime says nothing about the next (e.g.
+    /// a sedated thread waking re-enters cycle level until a new phase is
+    /// confirmed).
+    fn reset(&mut self) {
+        self.detector.reset();
+        self.consec_skips = 0;
+        self.refill_pending = false;
+        self.agg_acc = PhaseSample::zero();
+        self.agg_n = 0;
+        self.credit_j = 0;
     }
+}
 
-    fn miss(&mut self) {
-        self.wait = self.backoff;
-        self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
-    }
+/// The state one measured quantum carries from sample to sample.
+struct Quantum {
+    /// DTM state in force: it only changes at sampling instants.
+    gate: FetchGate,
+    global_stall: bool,
+    probe: IdleProbe,
+    /// True activity since the last sensor step, for the power model.
+    power_accum: AccessMatrix,
+    breakdowns: Vec<ThreadBreakdown>,
+    regfile_accesses: Vec<u64>,
+    /// Sensor readings and validity as of the last sensor step: what the
+    /// policy sees.
+    readings: [f64; NUM_BLOCKS],
+    sensor_valid: [bool; NUM_BLOCKS],
+    /// Physical truth, for the peak and emergency statistics.
+    peak_temps: [f64; NUM_BLOCKS],
+    above_emergency: [bool; NUM_BLOCKS],
+    emergencies: u64,
+    /// `None` runs every span at cycle level.
+    interval: Option<IntervalEngine>,
 }
 
 impl Simulator {
@@ -238,51 +466,55 @@ impl Simulator {
     ///
     /// Returns [`SimError::NoWorkloads`] if nothing has been attached.
     pub fn try_run_quantum(&mut self) -> Result<SimStats, SimError> {
+        self.try_run_quantum_with(&mut ())
+    }
+
+    /// Runs the warm-up phase plus one measured quantum, handing
+    /// `observer` every monitor sampling instant of the quantum.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NoWorkloads`] if nothing has been attached.
+    pub fn try_run_quantum_with<O: Observer>(
+        &mut self,
+        observer: &mut O,
+    ) -> Result<SimStats, SimError> {
         if self.names.is_empty() {
             return Err(SimError::NoWorkloads);
         }
-        let nthreads = self.cpu.num_threads();
-        let quantum = self.cfg.quantum_cycles;
-        let sample = self.cfg.sedation.sample_period_cycles;
-        let sensor = self.cfg.sensor_interval_cycles;
-        let sensor_dt = sensor as f64 / self.cfg.freq_hz;
-        let emergency_k = self.cfg.sedation.thresholds.emergency_k;
-
-        // ---- Warm-up: caches and predictors, no DTM, no thermal.
-        // Admission-sedated threads stay gated even here: they were never
-        // supposed to execute a cycle.
-        let mut done = 0u64;
-        let mut probe = IdleProbe::new();
-        while done < self.cfg.warmup_cycles {
-            self.cpu.tick(self.admission_gate);
-            done += 1;
-            if done == self.cfg.warmup_cycles {
-                break;
-            }
-            // Fast-forward through provably idle stall windows (see
-            // `Cpu::idle_bound`); the gate is constant for the whole phase.
-            if probe.should_probe() {
-                let bound = self.cpu.idle_bound(self.admission_gate);
-                let skip = bound
-                    .map(|b| (b - 1 - self.cpu.cycle()).min(self.cfg.warmup_cycles - done))
-                    .unwrap_or(0);
-                if skip > 0 {
-                    self.cpu.skip_idle_cycles(self.admission_gate, skip);
-                    done += skip;
-                    probe.hit();
-                } else {
-                    probe.miss();
-                }
-            }
-        }
+        // Warm-up: caches and predictors, no DTM, no thermal. Admission-
+        // sedated threads stay gated even here: they were never supposed
+        // to execute a cycle.
+        IdleProbe::new().tick(&mut self.cpu, self.admission_gate, self.cfg.warmup_cycles);
         let _ = self.cpu.take_access_counts();
-        let committed_base: Vec<u64> = (0..nthreads)
+        let committed_base: Vec<u64> = (0..self.cpu.num_threads())
             .map(|t| self.cpu.thread_stats(ThreadId(t as u8)).committed)
             .collect();
+        let mut q = self.start_quantum(&committed_base);
 
-        // ---- Thermal pre-warm: steady state of a typical load. ----
-        let ambient = self.cfg.thermal.ambient_k;
-        let mut temps = [ambient; NUM_BLOCKS];
+        // The loop runs in spans of constant DTM state: `gate` and
+        // `global_stall` can only change at sampling instants, so each span
+        // stretches from the cycle after one sampling instant to the next
+        // (or to the quantum end).
+        let quantum = self.cfg.quantum_cycles;
+        let sample = self.cfg.sedation.sample_period_cycles;
+        let mut cycle = 1u64;
+        while cycle <= quantum {
+            let span_end = (cycle.div_ceil(sample) * sample).min(quantum);
+            let at_sample = span_end.is_multiple_of(sample);
+            let credited = self.span_step(&mut q, span_end - cycle + 1, at_sample);
+            if at_sample {
+                self.sample_step(&mut q, span_end, credited, observer);
+            }
+            cycle = span_end + 1;
+        }
+        Ok(self.collect(q, &committed_base))
+    }
+
+    /// Pre-warms the thermal model and sets up the measured quantum.
+    fn start_quantum(&mut self, committed_base: &[u64]) -> Quantum {
+        let nthreads = self.cpu.num_threads();
+        let mut temps = [self.cfg.thermal.ambient_k; NUM_BLOCKS];
         if let Some(net) = &mut self.thermal {
             // A slightly-below-normal operating point: warm package, but
             // safely under the DTM thresholds so the first trigger happens
@@ -291,284 +523,178 @@ impl Simulator {
             net.initialize_steady_state(&nominal);
             temps = net.block_temps();
         }
+        Quantum {
+            gate: self.admission_gate,
+            global_stall: false,
+            probe: IdleProbe::new(),
+            power_accum: AccessMatrix::new(),
+            breakdowns: vec![ThreadBreakdown::default(); nthreads],
+            regfile_accesses: vec![0; nthreads],
+            readings: temps,
+            sensor_valid: ALL_SENSORS_VALID,
+            peak_temps: temps,
+            above_emergency: [false; NUM_BLOCKS],
+            emergencies: 0,
+            interval: IntervalEngine::new(&self.cfg, temps, committed_base.to_vec()),
+        }
+    }
 
-        // ---- Measured quantum. ----
-        let mut gate = self.admission_gate;
-        let mut global_stall = false;
-        let mut power_accum = AccessMatrix::new();
-        let mut breakdowns = vec![ThreadBreakdown::default(); nthreads];
-        let mut regfile_accesses = vec![0u64; nthreads];
-        let mut peak_temps = temps;
-        let mut above_emergency = [false; NUM_BLOCKS];
-        let mut emergencies = 0u64;
-        let mut sensor_valid = ALL_SENSORS_VALID;
-
-        // ---- Interval-mode state (DESIGN.md §3d). ----
-        // Fault schedules demand cycle-level fidelity around their firing
-        // cycles; rather than track proximity, any configured fault keeps
-        // the whole run cycle-accurate.
-        let interval_on = self.cfg.exec == ExecMode::Interval && self.cfg.faults.is_empty();
-        let mut detector = PhaseDetector::new(PhaseDetectorConfig {
-            confirm_samples: self.cfg.interval.confirm_samples,
-            rel_tol: self.cfg.interval.rel_tol,
-            abs_slack: self.cfg.interval.abs_slack,
-        });
-        // True block temperatures as of the last sensor step, for the
-        // thermal guard (sensor *readings* may be faulted or noisy; the
-        // guard must consult physics).
-        let mut truth_temps = temps;
-        let guard_limit = self.cfg.sedation.thresholds.normal_k - self.cfg.interval.guard_k;
-        let mut last_committed = committed_base.clone();
-        let mut consec_skips = 0u64;
-        let mut fast_forwarded = 0u64;
-        // Set while the first measured sample after a credit run is still
-        // pending: that sample rides the post-squash pipeline refill and is
-        // excluded from phase training.
-        let mut refill_pending = false;
-        // Aggregation (`IntervalConfig::aggregate_samples`): the detector
-        // observes and credits in units of `agg` consecutive samples, so a
-        // loop longer than one sample period can still present a
-        // stationary profile. `agg_acc`/`agg_n` build the next measured
-        // aggregate; `credit_super`/`credit_j` spread a credited aggregate
-        // back over its constituent sample periods.
-        let agg = self.cfg.interval.aggregate_samples;
-        let mut agg_acc = PhaseSample::zero();
-        let mut agg_n = 0u64;
-        let mut credit_super = PhaseSample::zero();
-        let mut credit_j = 0u64;
-        // Whether every span since the last sensor step was credited; only
-        // then is the power history exactly phase-constant and the thermal
-        // state advanced in closed form instead of stepped.
-        let mut sensor_all_credited = true;
-
-        // The loop runs in spans of constant DTM state: `gate` and
-        // `global_stall` can only change at sampling instants, so each span
-        // stretches from the cycle after one sampling instant to the next
-        // (or to the quantum end). Stalled spans are accounted in bulk, and
-        // executing spans fast-forward through provably idle stall windows
-        // (`Cpu::idle_bound`) instead of ticking cycle by cycle.
-        let mut cycle = 1u64;
-        let mut probe = IdleProbe::new();
-        while cycle <= quantum {
-            let span_end = (cycle.div_ceil(sample) * sample).min(quantum);
-            let span = span_end - cycle + 1;
-            // A span may be fast-forwarded only when nothing the credited
-            // profile cannot represent is in play: free-running execution
-            // (no gates, no stall), a full sample period, a confirmed
-            // stable phase with skip allowance left, and every block cold
-            // enough that no temperature-driven DTM decision is near. A
-            // new aggregate credit may only start on an aggregate boundary
-            // (no verification measurement in flight); once started, its
-            // remaining slices keep flowing unless something breaks in.
-            let can_start = agg_n == 0
-                && detector.is_stable()
-                && consec_skips
-                    < self
-                        .cfg
-                        .interval
-                        .max_skip_samples
-                        .min(detector.credit_cap());
-            let credited = interval_on
-                && !global_stall
-                && !gate.any_gated()
-                && span == sample
-                && span_end.is_multiple_of(sample)
-                && truth_temps.iter().all(|&t| t < guard_limit)
-                && (credit_j > 0 || can_start);
-            if !credited && credit_j > 0 {
-                // Mid-aggregate interruption (thermal guard, stall, gate,
-                // quantum tail): the unapplied slices are abandoned and
-                // execution returns to cycle level immediately.
-                credit_j = 0;
-            }
-            if credited {
-                if credit_j == 0 {
-                    credit_super = detector.credit_next();
-                }
-                let extrapolated = credit_super.bresenham_slice(credit_j, agg);
-                credit_j = (credit_j + 1) % agg;
-                self.cpu.fast_forward(&extrapolated);
-                for b in &mut breakdowns {
-                    b.normal_cycles += span;
-                }
-                fast_forwarded += span;
-            } else if global_stall {
-                for b in &mut breakdowns {
-                    b.global_stall_cycles += span;
-                }
+    /// The span step: runs `span` cycles under the DTM state in force and
+    /// returns whether the interval engine credited them. Stalled spans are
+    /// accounted in bulk, credited spans fast-forward the pipeline by the
+    /// stable phase's activity, and the rest go through the tick driver.
+    fn span_step(&mut self, q: &mut Quantum, span: u64, full_sample: bool) -> bool {
+        let free_running = full_sample && !q.global_stall && !q.gate.any_gated();
+        let credit = q
+            .interval
+            .as_mut()
+            .and_then(|e| e.credit(free_running, span));
+        if let Some(extrapolated) = &credit {
+            self.cpu.fast_forward(extrapolated);
+        } else if !q.global_stall {
+            q.probe.tick(&mut self.cpu, q.gate, span);
+        }
+        for (t, b) in q.breakdowns.iter_mut().enumerate() {
+            if q.global_stall {
+                b.global_stall_cycles += span;
+            } else if q.gate.is_gated(ThreadId(t as u8)) {
+                b.sedated_cycles += span;
             } else {
-                let mut ticked = 0u64;
-                while ticked < span {
-                    self.cpu.tick(gate);
-                    ticked += 1;
-                    if ticked == span {
-                        break;
-                    }
-                    if !probe.should_probe() {
-                        continue;
-                    }
-                    let bound = self.cpu.idle_bound(gate);
-                    let skip = bound
-                        .map(|b| (b - 1 - self.cpu.cycle()).min(span - ticked))
-                        .unwrap_or(0);
-                    if skip > 0 {
-                        self.cpu.skip_idle_cycles(gate, skip);
-                        ticked += skip;
-                        probe.hit();
-                    } else {
-                        probe.miss();
-                    }
-                }
-                for (t, b) in breakdowns.iter_mut().enumerate() {
-                    if gate.is_gated(ThreadId(t as u8)) {
-                        b.sedated_cycles += span;
-                    } else {
-                        b.normal_cycles += span;
-                    }
-                }
+                b.normal_cycles += span;
             }
-            cycle = span_end;
-            sensor_all_credited &= credited;
+        }
+        credit.is_some()
+    }
 
-            if !cycle.is_multiple_of(sample) {
-                cycle += 1;
-                continue;
+    /// The sample step at a monitor sampling instant: feeds the monitors,
+    /// closes the sensor interval when one ends, applies the policy's
+    /// decision and shows the result to `observer`.
+    fn sample_step<O: Observer>(
+        &mut self,
+        q: &mut Quantum,
+        cycle: u64,
+        credited: bool,
+        observer: &mut O,
+    ) {
+        let counts = self.cpu.take_access_counts();
+        if let Some(engine) = &mut q.interval {
+            engine.observe(&self.cpu, counts, credited);
+        }
+        let mut block_counts = BlockCounts::new();
+        for (t, regfile_acc) in q.regfile_accesses.iter_mut().enumerate() {
+            let tid = ThreadId(t as u8);
+            *regfile_acc += counts.get(tid, Resource::IntRegFile);
+            for r in ALL_RESOURCES {
+                let n = counts.get(tid, r);
+                if n > 0 {
+                    block_counts.add(t, resource_block(r), n);
+                }
             }
+        }
+        q.power_accum.merge(&counts);
+        // Counter faults corrupt what the monitors see; the power model
+        // integrates the *true* activity (heat does not care what a broken
+        // counter reports).
+        self.cfg.faults.counters.apply(
+            cycle,
+            self.cfg.sedation.sample_period_cycles,
+            &mut block_counts,
+        );
 
-            // Monitor sampling instant.
-            let counts = self.cpu.take_access_counts();
-            // Phase bookkeeping: measured samples train the detector;
-            // credited samples must not (they would confirm themselves)
-            // and instead consume skip allowance.
-            if interval_on {
-                let mut psample = PhaseSample {
-                    committed: [0; hs_cpu::MAX_THREADS],
-                    counts,
-                };
-                for (t, last) in last_committed.iter_mut().enumerate() {
-                    let committed = self.cpu.thread_stats(ThreadId(t as u8)).committed;
-                    psample.committed[t] = committed - *last;
-                    *last = committed;
-                }
-                if credited {
-                    if credit_j == 0 {
-                        // The slice just applied completed its aggregate.
-                        consec_skips += 1;
-                    }
-                    refill_pending = true;
-                } else if refill_pending {
-                    // First measured sample after a credit run: the
-                    // pipeline is still refilling from the squash, so this
-                    // sample is a timing artifact — neither trained into
-                    // the profile nor allowed to reset the skip budget
-                    // (the *next* measured sample is the real verify).
-                    refill_pending = false;
-                } else {
-                    agg_acc.merge(&psample);
-                    agg_n += 1;
-                    if agg_n == agg {
-                        consec_skips = 0;
-                        detector.observe(&agg_acc);
-                        agg_acc = PhaseSample::zero();
-                        agg_n = 0;
-                    }
-                }
-            }
-            let mut block_counts = BlockCounts::new();
-            for (t, regfile_acc) in regfile_accesses.iter_mut().enumerate().take(nthreads) {
-                let tid = ThreadId(t as u8);
-                *regfile_acc += counts.get(tid, Resource::IntRegFile);
-                for r in ALL_RESOURCES {
-                    let n = counts.get(tid, r);
-                    if n > 0 {
-                        block_counts.add(t, resource_block(r), n);
-                    }
-                }
-            }
-            power_accum.merge(&counts);
-            // Counter faults corrupt what the monitors see; the power model
-            // above integrates the *true* activity (heat does not care what
-            // a broken counter reports).
-            self.cfg
-                .faults
-                .counters
-                .apply(cycle, sample, &mut block_counts);
-
-            let sensor_fresh = cycle.is_multiple_of(sensor);
-            if sensor_fresh {
-                if let Some(net) = &mut self.thermal {
-                    let power = self.model.power(&power_accum, sensor, self.cfg.freq_hz);
-                    power_accum.clear();
-                    if sensor_all_credited {
-                        // Every span of this interval was extrapolated
-                        // from the stable phase profile, so the power was
-                        // phase-constant by construction: advance the RC
-                        // response in closed form (O(1) in the interval).
-                        net.advance_closed_form(sensor_dt, &power);
-                    } else {
-                        net.step(sensor_dt, &power);
-                    }
-                    // Policies see sensor *readings*; the emergency count
-                    // and peaks below track physical truth.
-                    let frame = self.sensors.read_at(cycle, net);
-                    temps = frame.values;
-                    sensor_valid = frame.valid;
-                    let truth = net.block_temps();
-                    truth_temps = truth;
-                    for b in ALL_BLOCKS {
-                        let i = b.index();
-                        peak_temps[i] = peak_temps[i].max(truth[i]);
-                        let above = truth[i] >= emergency_k;
-                        if above && !above_emergency[i] {
-                            emergencies += 1;
-                        }
-                        above_emergency[i] = above;
-                    }
-                } else {
-                    power_accum.clear();
-                }
-                sensor_all_credited = true;
-            }
-
-            let decision = self.policy.on_sample(&DtmInput {
-                cycle,
-                block_temps: &temps,
-                sensor_valid: &sensor_valid,
-                sensor_fresh,
-                counts: &block_counts,
-                global_stalled: global_stall,
-            });
-            let (prev_gate, prev_stall) = (gate, global_stall);
-            global_stall = decision.global_stall;
-            gate = decision.gate;
-            // Admission sedation is sticky: the DTM may open its own gates
-            // as blocks cool, but a thread sedated at admission never runs.
-            for t in 0..nthreads {
-                let tid = ThreadId(t as u8);
-                if self.admission_gate.is_gated(tid) {
-                    gate.set(tid, true);
-                }
-            }
-            // Any DTM state change invalidates the phase profile: activity
-            // measured under one gating regime says nothing about the next
-            // (e.g. a sedated thread waking re-enters cycle level until a
-            // new phase is confirmed).
-            if interval_on && (gate != prev_gate || global_stall != prev_stall) {
-                detector.reset();
-                consec_skips = 0;
-                refill_pending = false;
-                agg_acc = PhaseSample::zero();
-                agg_n = 0;
-                credit_j = 0;
-            }
-            cycle += 1;
+        let sensor_fresh = cycle.is_multiple_of(self.cfg.sensor_interval_cycles);
+        if sensor_fresh {
+            self.sensor_step(q, cycle);
         }
 
-        // ---- Collect. ----
+        let decision = self.policy.on_sample(&DtmInput {
+            cycle,
+            block_temps: &q.readings,
+            sensor_valid: &q.sensor_valid,
+            sensor_fresh,
+            counts: &block_counts,
+            global_stalled: q.global_stall,
+        });
+        let (prev_gate, prev_stall) = (q.gate, q.global_stall);
+        q.global_stall = decision.global_stall;
+        q.gate = decision.gate;
+        // Admission sedation is sticky: the DTM may open its own gates as
+        // blocks cool, but a thread sedated at admission never runs.
+        for t in 0..self.cpu.num_threads() {
+            let tid = ThreadId(t as u8);
+            if self.admission_gate.is_gated(tid) {
+                q.gate.set(tid, true);
+            }
+        }
+        if q.gate != prev_gate || q.global_stall != prev_stall {
+            if let Some(engine) = &mut q.interval {
+                engine.reset();
+            }
+        }
+        observer.on_sample(&SampleView {
+            cycle,
+            sensor_fresh,
+            counts: &counts,
+            readings: &q.readings,
+            thermal: self.thermal.as_ref(),
+            global_stall: q.global_stall,
+            gate: q.gate,
+        });
+    }
+
+    /// Closes a sensor interval: steps the thermal model over it, reads
+    /// the sensors, and tracks true peaks and emergency crossings.
+    fn sensor_step(&mut self, q: &mut Quantum, cycle: u64) {
+        // Whether every span of the closing interval was credited; the
+        // next interval starts over.
+        let all_credited = q
+            .interval
+            .as_mut()
+            .is_some_and(|e| std::mem::replace(&mut e.sensor_all_credited, true));
+        let Some(net) = &mut self.thermal else {
+            q.power_accum.clear();
+            return;
+        };
+        let sensor = self.cfg.sensor_interval_cycles;
+        let sensor_dt = sensor as f64 / self.cfg.freq_hz;
+        let power = self.model.power(&q.power_accum, sensor, self.cfg.freq_hz);
+        q.power_accum.clear();
+        if all_credited {
+            // Every span of this interval was extrapolated from the stable
+            // phase profile, so the power was phase-constant by
+            // construction: advance the RC response in closed form (O(1)
+            // in the interval).
+            net.advance_closed_form(sensor_dt, &power);
+        } else {
+            net.step(sensor_dt, &power);
+        }
+        // Policies see sensor *readings*; the emergency count and peaks
+        // track physical truth.
+        let frame = self.sensors.read_at(cycle, net);
+        q.readings = frame.values;
+        q.sensor_valid = frame.valid;
+        let truth = net.block_temps();
+        if let Some(engine) = &mut q.interval {
+            engine.truth_temps = truth;
+        }
+        let emergency_k = self.cfg.sedation.thresholds.emergency_k;
+        for b in ALL_BLOCKS {
+            let i = b.index();
+            q.peak_temps[i] = q.peak_temps[i].max(truth[i]);
+            let above = truth[i] >= emergency_k;
+            if above && !q.above_emergency[i] {
+                q.emergencies += 1;
+            }
+            q.above_emergency[i] = above;
+        }
+    }
+
+    /// Assembles the quantum's statistics.
+    fn collect(&mut self, q: Quantum, committed_base: &[u64]) -> SimStats {
+        let quantum = self.cfg.quantum_cycles;
         // Admission reports happened "before cycle 0": they lead the list.
         let mut reports = self.admission_reports.clone();
         reports.extend(self.policy.take_reports());
-        let threads = (0..nthreads)
+        let threads = (0..self.cpu.num_threads())
             .map(|t| {
                 let tid = ThreadId(t as u8);
                 let committed = self.cpu.thread_stats(tid).committed - committed_base[t];
@@ -576,8 +702,8 @@ impl Simulator {
                     name: self.names[t].to_string(),
                     committed,
                     ipc: committed as f64 / quantum as f64,
-                    int_regfile_rate: regfile_accesses[t] as f64 / quantum as f64,
-                    breakdown: breakdowns[t],
+                    int_regfile_rate: q.regfile_accesses[t] as f64 / quantum as f64,
+                    breakdown: q.breakdowns[t],
                     sedations: reports
                         .iter()
                         .filter(|r| r.kind == ReportKind::Sedated && r.thread == Some(tid))
@@ -585,15 +711,15 @@ impl Simulator {
                 }
             })
             .collect();
-        Ok(SimStats {
+        SimStats {
             cycles: quantum,
             threads,
-            emergencies,
-            peak_temps,
+            emergencies: q.emergencies,
+            peak_temps: q.peak_temps,
             reports,
             policy: self.policy.name().to_string(),
-            fast_forwarded_cycles: fast_forwarded,
-        })
+            fast_forwarded_cycles: q.interval.map_or(0, |e| e.fast_forwarded),
+        }
     }
 }
 

@@ -6,70 +6,48 @@
 //! cargo run --release --example heat_stroke_attack
 //! ```
 
-use heatstroke::cpu::pipeline::FetchGate;
-use heatstroke::cpu::{Cpu, Resource, ThreadId};
-use heatstroke::power::{calibration, PowerModel};
 use heatstroke::prelude::*;
-use heatstroke::thermal::ThermalNetwork;
+use heatstroke::sim::{Observer, SampleView};
+
+/// Records `(cycle, int-reg reading, stalled)` at every sensor step.
+#[derive(Default)]
+struct Trace(Vec<(u64, f64, bool)>);
+
+impl Observer for Trace {
+    fn on_sample(&mut self, v: &SampleView<'_>) {
+        if v.sensor_fresh {
+            let t_reg = v.readings[Block::IntReg.index()];
+            self.0.push((v.cycle, t_reg, v.global_stall));
+        }
+    }
+}
 
 fn main() {
-    // Build the stack by hand (rather than through `Simulator`) to show
-    // how the layers compose — and to sample a temperature trace.
-    let cfg = SimConfig::scaled(200.0);
-    let mut cpu = Cpu::new(cfg.cpu, cfg.mem);
-    let victim = cpu.attach_thread(Workload::Spec(SpecWorkload::Gcc).program(cfg.time_scale));
-    let attacker = cpu.attach_thread(Workload::Variant2.program(cfg.time_scale));
-
-    // Warm the caches and predictors before tracing.
-    for _ in 0..1_000_000 {
-        cpu.tick(FetchGate::open());
+    // 4000 sensor intervals: long enough for the attacker to drive the
+    // register file into emergency and for stop-and-go to cool it again.
+    let mut cfg = SimConfig::scaled(200.0);
+    cfg.quantum_cycles = 4000 * cfg.sensor_interval_cycles;
+    let mut sim = Simulator::new(cfg, PolicyKind::StopAndGo, HeatSink::Realistic);
+    for w in [Workload::Spec(SpecWorkload::Gcc), Workload::Variant2] {
+        sim.attach(w)
+            .expect("two contexts, admission screening off");
     }
-    let _ = cpu.take_access_counts();
-
-    let model = PowerModel::new(cfg.energy);
-    let mut net = ThermalNetwork::new(&cfg.thermal);
-    net.initialize_steady_state(&calibration::chip_power(&model, 2.5, 1.0, cfg.freq_hz));
-    let mut policy = StopAndGo::new(cfg.sedation.thresholds);
-
-    let sensor = cfg.sensor_interval_cycles;
-    let dt = sensor as f64 / cfg.freq_hz;
-    let mut stalled = false;
-    let mut trace: Vec<(u64, f64, bool)> = Vec::new();
+    let mut trace = Trace::default();
+    let stats = sim
+        .try_run_quantum_with(&mut trace)
+        .expect("workloads are attached");
+    let trace = trace.0;
 
     println!("cycle        int-reg temp   state");
-    for step in 1..=1200u64 {
-        if !stalled {
-            for _ in 0..sensor {
-                cpu.tick(FetchGate::open());
-            }
-        }
-        let counts = cpu.take_access_counts();
-        let power = model.power(&counts, sensor, cfg.freq_hz);
-        net.step(dt, &power);
-        let temps = net.block_temps();
-        let t_reg = temps[Block::IntReg.index()];
-
-        let decision = policy.on_sample(&heatstroke::core::DtmInput {
-            sensor_valid: &hs_core::policy::ALL_SENSORS_VALID,
-            sensor_fresh: true,
-            cycle: step * sensor,
-            block_temps: &temps,
-            counts: &heatstroke::core::BlockCounts::new(),
-            global_stalled: stalled,
-        });
-        stalled = decision.global_stall;
-        trace.push((step * sensor, t_reg, stalled));
-
-        if step % 60 == 0 {
-            let bar = "#".repeat(((t_reg - 344.0).max(0.0) * 3.0) as usize);
-            println!(
-                "{:>9}    {:7.2} K     {} {}",
-                step * sensor,
-                t_reg,
-                if stalled { "STALL" } else { "run  " },
-                bar
-            );
-        }
+    for &(cycle, t_reg, stalled) in trace.iter().skip(59).step_by(60) {
+        let bar = "#".repeat(((t_reg - 344.0).max(0.0) * 3.0) as usize);
+        println!(
+            "{:>9}    {:7.2} K     {} {}",
+            cycle,
+            t_reg,
+            if stalled { "STALL" } else { "run  " },
+            bar
+        );
     }
 
     // Episode statistics.
@@ -84,11 +62,10 @@ fn main() {
     println!("fraction stalled     : {:.0}%", 100.0 * stall_frac);
     println!(
         "victim committed     : {} instructions",
-        cpu.thread_stats(victim).committed
+        stats.thread(0).committed
     );
     println!(
         "attacker committed   : {} instructions",
-        cpu.thread_stats(attacker).committed
+        stats.thread(1).committed
     );
-    let _ = (ThreadId(0), Resource::IntRegFile);
 }
