@@ -10,38 +10,6 @@
 use std::error::Error;
 use std::fmt;
 
-/// How a supervisor should treat a failure: worth re-executing, or final.
-///
-/// The campaign supervision layer (`hs_sim::supervise`) quarantines every
-/// failed run on its one attempt; on resume it replays
-/// [`ErrorClass::Permanent`] outcomes from its journal and re-executes
-/// [`ErrorClass::Transient`] ones. The taxonomy lives here, next to
-/// [`ConfigError`], so every error type in the workspace can answer the
-/// same question the same way.
-///
-/// The rule of thumb: a failure that is a pure function of the run's
-/// specification (an invalid config, too many workloads, a deterministic
-/// budget overrun, a panic) is `Permanent` — re-executing the identical
-/// spec reproduces it. A failure injected by the *environment* (a lost
-/// worker, a wall-clock overrun, an interrupted campaign) is `Transient`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorClass {
-    /// Environmental / nondeterministic: re-executing the same spec may
-    /// succeed.
-    Transient,
-    /// Deterministic: re-executing the same spec reproduces the failure.
-    Permanent,
-}
-
-impl fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ErrorClass::Transient => "transient",
-            ErrorClass::Permanent => "permanent",
-        })
-    }
-}
-
 /// A rejected configuration value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -70,13 +38,6 @@ impl ConfigError {
     pub fn reason(&self) -> &str {
         &self.reason
     }
-
-    /// A bad configuration is a pure function of the spec: always
-    /// [`ErrorClass::Permanent`].
-    #[must_use]
-    pub fn class(&self) -> ErrorClass {
-        ErrorClass::Permanent
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -103,14 +64,6 @@ mod tests {
         assert!(e.to_string().contains("ewma_shift"));
         assert!(e.to_string().contains("1..32"));
         assert_eq!(e.field(), "ewma_shift");
-    }
-
-    #[test]
-    fn config_errors_are_permanent() {
-        let e = ConfigError::new("freq_hz", "must be positive");
-        assert_eq!(e.class(), ErrorClass::Permanent);
-        assert_eq!(ErrorClass::Transient.to_string(), "transient");
-        assert_eq!(ErrorClass::Permanent.to_string(), "permanent");
     }
 
     #[test]

@@ -35,9 +35,12 @@
 //!
 //! ## Supervision flags
 //!
-//! An experiment runs on the supervised engine when its registry entry
-//! declares a supervision (only `chaos` does) or when any of these flags
-//! is given; everything else stays on the fail-fast engine, byte-for-byte.
+//! Every experiment runs on the one campaign engine,
+//! [`Campaign::run_supervised`](hs_sim::Campaign::run_supervised), which
+//! quarantines a failing run instead of aborting the batch. An experiment
+//! writes a run journal when its registry entry declares a supervision
+//! (only `chaos` does) or when any of these flags is given; the flags
+//! change the configuration, not the engine.
 //!
 //! * `--resume` — replay the experiment's journal and execute only the
 //!   runs it is missing, plus any run it recorded as a wall-clock overrun
@@ -65,10 +68,16 @@
 //! | 5 | admission screening rejected a workload |
 //! | 6 | interrupted (`--abort-after`, aborted campaign) |
 //! | 7 | unusable run journal |
+//! | 8 | runs quarantined; `--resume` re-executes wall-clock overruns |
+//!
+//! Code 8 applies to experiments whose registry entry declares no
+//! supervision: their renderers need every run, so a quarantined run
+//! stops the CLI before the artifact is written or anything is rendered,
+//! with one `#id label kind: detail` stderr line per quarantined run.
 //!
 //! Rendered experiment text goes to stdout; progress and timing go to
-//! stderr, so stdout stays byte-deterministic. Supervised runs add a
-//! `quarantined: N` stderr line per experiment.
+//! stderr, so stdout stays byte-deterministic. Every experiment adds a
+//! `quarantined: N` stderr line.
 
 use crate::experiments::{find, Experiment, EXPERIMENTS};
 use hs_sim::admission::check_analysis_artifact;
@@ -269,7 +278,7 @@ impl Options {
         })
     }
 
-    /// Whether any flag asks for the supervised engine.
+    /// Whether any flag asks for supervision, and therefore a journal.
     fn wants_supervision(&self) -> bool {
         self.resume
             || self.deadline.is_some()
@@ -295,18 +304,14 @@ impl Options {
     }
 
     /// The supervision for one experiment: its registry default (if any)
-    /// with the CLI overrides layered on top; `None` when neither the
-    /// registry nor the flags ask for supervision (the fail-fast engine
-    /// stays in charge, byte-for-byte).
+    /// with the CLI overrides layered on top. It journals only when the
+    /// registry or a flag asks for supervision.
     fn supervision_for(
         &self,
         e: &Experiment,
         cfg: &hs_sim::SimConfig,
         selected: usize,
-    ) -> Option<Supervision> {
-        if e.supervision.is_none() && !self.wants_supervision() {
-            return None;
-        }
+    ) -> Supervision {
         let mut sup = e.supervision.map_or_else(Supervision::default, |f| f(cfg));
         if let Some(d) = self.deadline {
             sup.wall_deadline = Some(d);
@@ -314,9 +319,31 @@ impl Options {
         if let Some(k) = self.abort_after {
             sup.abort_after = Some(k);
         }
-        sup.journal = Some(self.journal_path(e.name, selected));
-        Some(sup)
+        if e.supervision.is_some() || self.wants_supervision() {
+            sup.journal = Some(self.journal_path(e.name, selected));
+        }
+        sup
     }
+}
+
+/// Refuses a report with quarantined runs from an experiment whose
+/// registry entry declares no supervision: its renderer needs every run.
+fn check_quarantine(e: &Experiment, report: &CampaignReport) -> Result<(), Failure> {
+    if e.supervision.is_some() || report.quarantined.is_empty() {
+        return Ok(());
+    }
+    let mut message = format!(
+        "{}: {} runs quarantined; `--resume` re-executes wall-clock overruns",
+        e.name,
+        report.quarantined.len()
+    );
+    for q in &report.quarantined {
+        message.push_str(&format!(
+            "\n  #{} {} {}: {}",
+            q.id, q.label, q.kind, q.detail
+        ));
+    }
+    Err(Failure { message, code: 8 })
 }
 
 /// Validates a previously written artifact: a campaign report or the
@@ -402,31 +429,26 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
             code: sim_exit_code(&err),
             message: format!("{}: {err}", e.name),
         };
-        let report = match &supervision {
-            None => campaign.run(jobs).map_err(sim_failure)?,
-            Some(sup) => {
-                if let Some(dir) = sup.journal.as_ref().and_then(|p| p.parent()) {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).map_err(|err| {
-                            Failure::from(format!("cannot create {}: {err}", dir.display()))
-                        })?;
-                    }
-                }
-                if opts.resume {
-                    campaign.resume(jobs, sup).map_err(sim_failure)?
-                } else {
-                    campaign.run_supervised(jobs, sup).map_err(sim_failure)?
-                }
+        if let Some(dir) = supervision.journal.as_ref().and_then(|p| p.parent()) {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir).map_err(|err| {
+                    Failure::from(format!("cannot create {}: {err}", dir.display()))
+                })?;
             }
-        };
+        }
+        let report = if opts.resume {
+            campaign.resume(jobs, &supervision)
+        } else {
+            campaign.run_supervised(jobs, &supervision)
+        }
+        .map_err(sim_failure)?;
         eprintln!(
             "      {} runs in {:.1}s",
             report.runs.len(),
             started.elapsed().as_secs_f64()
         );
-        if supervision.is_some() {
-            eprintln!("      quarantined: {}", report.quarantined.len());
-        }
+        eprintln!("      quarantined: {}", report.quarantined.len());
+        check_quarantine(e, &report)?;
         if let Some(json) = &opts.json {
             let path = artifact_path(json, e.name, selected.len());
             if let Some(dir) = path.parent() {
@@ -489,6 +511,22 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(args.iter().map(|s| (*s).to_string()))
+    }
+
+    /// A `fig3` report whose runs #0 and #2 were quarantined as `kind`.
+    fn quarantined_report(kind: &str) -> CampaignReport {
+        let q = |id, label: &str| hs_sim::QuarantinedRun {
+            id,
+            label: label.into(),
+            kind: kind.into(),
+            detail: "run overran the wall-clock deadline".into(),
+        };
+        CampaignReport {
+            name: "fig3".into(),
+            runs: Vec::new(),
+            quarantined: vec![q(0, "gcc"), q(2, "mcf")],
+            wall: Duration::ZERO,
+        }
     }
 
     #[test]
@@ -642,29 +680,56 @@ mod tests {
     }
 
     #[test]
-    fn registry_supervision_drives_the_engine_choice() {
+    fn registry_supervision_and_flags_turn_on_the_journal() {
         let cfg = crate::config();
         let opts = parse(&[]).unwrap();
         let chaos = find("chaos").unwrap();
         let fig3 = find("fig3").unwrap();
-        let sup = opts
-            .supervision_for(chaos, &cfg, 1)
-            .expect("chaos is supervised");
+        let sup = opts.supervision_for(chaos, &cfg, 1);
         assert!(sup.cycle_budget.is_some(), "registry default");
-        assert!(sup.journal.is_some(), "supervised runs always journal");
+        assert!(sup.journal.is_some(), "supervised experiments journal");
+        let sup = opts.supervision_for(fig3, &cfg, 1);
         assert!(
-            opts.supervision_for(fig3, &cfg, 1).is_none(),
-            "paper experiments stay on the fail-fast engine"
+            sup.journal.is_none() && sup.cycle_budget.is_none(),
+            "paper experiments run with the default supervision"
         );
         // CLI overrides layer on top of the registry default.
         let opts = parse(&["--deadline", "7"]).unwrap();
-        let sup = opts.supervision_for(chaos, &cfg, 1).unwrap();
+        let sup = opts.supervision_for(chaos, &cfg, 1);
         assert_eq!(sup.wall_deadline, Some(Duration::from_secs(7)));
         assert!(sup.cycle_budget.is_some(), "the registry default survives");
+        let sup = opts.supervision_for(fig3, &cfg, 1);
+        assert_eq!(sup.wall_deadline, Some(Duration::from_secs(7)));
         assert!(
-            opts.supervision_for(fig3, &cfg, 1).is_some(),
-            "flags opt any experiment in"
+            sup.journal.is_some(),
+            "flags turn on any experiment's journal"
         );
+    }
+
+    #[test]
+    fn quarantined_runs_stop_unsupervised_experiments_with_code_8() {
+        let fig3 = find("fig3").unwrap();
+        let failure = check_quarantine(fig3, &quarantined_report("timed-out:wall")).unwrap_err();
+        assert_eq!(failure.code, 8);
+        let lines: Vec<&str> = failure.message.lines().collect();
+        assert_eq!(lines.len(), 3, "{}", failure.message);
+        assert!(
+            lines[0].starts_with("fig3: 2 runs quarantined"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(
+            lines[1].trim(),
+            "#0 gcc timed-out:wall: run overran the wall-clock deadline"
+        );
+        assert!(lines[2].trim().starts_with("#2 mcf timed-out:wall:"));
+        // Experiments that declare supervision render their quarantine.
+        let chaos = find("chaos").unwrap();
+        assert!(check_quarantine(chaos, &quarantined_report("panicked")).is_ok());
+        // Nothing quarantined: nothing to refuse.
+        let mut clean = quarantined_report("panicked");
+        clean.quarantined.clear();
+        assert!(check_quarantine(fig3, &clean).is_ok());
     }
 
     #[test]
@@ -698,6 +763,9 @@ mod tests {
             }),
             7
         );
+        let fig3 = find("fig3").unwrap();
+        let failure = check_quarantine(fig3, &quarantined_report("panicked")).unwrap_err();
+        assert_eq!(failure.code, 8);
         // InvalidRun reports as its cause.
         assert_eq!(
             sim_exit_code(&SimError::InvalidRun {

@@ -54,11 +54,14 @@ pub struct Experiment {
     /// output is not made of quantum runs (`analyze`) provide their own
     /// machine-readable document.
     pub artifact: Option<fn(&SimConfig) -> String>,
-    /// Default supervision for this experiment. `None` (every paper
-    /// experiment) runs on the fail-fast engine exactly as before;
-    /// `Some` routes through `Campaign::run_supervised` — used by `chaos`,
-    /// which injects faults that *must* be supervised. CLI supervision
-    /// flags (`--deadline`, `--journal`, …) layer on top of this.
+    /// Default supervision for this experiment; every experiment runs on
+    /// `Campaign::run_supervised` either way. `None` (every paper
+    /// experiment) means the default supervision, no journal, and a
+    /// renderer that needs every run: the CLI exits 8 if any run was
+    /// quarantined. `Some` (only `chaos`, which injects faults and renders
+    /// its quarantine) sets the budget and chaos plan and turns on the
+    /// journal. CLI supervision flags (`--deadline`, `--journal`, …) layer
+    /// on top of this.
     pub supervision: Option<fn(&SimConfig) -> Supervision>,
 }
 

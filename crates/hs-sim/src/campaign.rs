@@ -1,11 +1,12 @@
-//! # The campaign engine: deterministic multi-threaded experiment batches
+//! # Campaigns: deterministic multi-threaded experiment batches
 //!
 //! The paper's evaluation is a large matrix of runs — workload pairs × DTM
 //! policies × heat sinks × thresholds (Figs. 3–6, Table 1). A [`Campaign`]
 //! holds that matrix as declarative, labelled [`RunSpec`]s; [`Campaign::run`]
-//! executes it on a `std::thread` worker pool where **each run owns its own
-//! [`Simulator`]** and aggregates per-run [`SimStats`] into a
-//! [`CampaignReport`].
+//! executes it on the one campaign worker pool ([`crate::supervise`]),
+//! where **each run owns its own [`Simulator`](crate::Simulator)**, and
+//! aggregates per-run [`SimStats`] into a [`CampaignReport`]. A run that
+//! panics or fails is quarantined; the rest of the batch completes.
 //!
 //! ## Determinism contract
 //!
@@ -17,7 +18,7 @@
 //!   simulator, RNG streams and statistics are private to it;
 //! * the report stores results **by run id, not completion order**;
 //! * [`CampaignReport::to_json`] serializes only the deterministic payload
-//!   (name + runs). Wall-clock and worker-count accounting live next to it
+//!   (name, runs, quarantined runs). Wall-clock accounting lives next to it
 //!   in the in-memory report and are deliberately **excluded** from the
 //!   artifact, so `--jobs 1` and `--jobs N` write byte-identical files.
 //!
@@ -46,11 +47,9 @@ use crate::error::SimError;
 use crate::json::{Json, JsonError};
 use crate::runner::RunSpec;
 use crate::stats::SimStats;
-use crate::supervise::QuarantinedRun;
+use crate::supervise::{QuarantinedRun, Supervision};
 use hs_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One labelled entry of a campaign's run matrix.
 #[derive(Debug, Clone)]
@@ -143,96 +142,18 @@ impl Campaign {
         Ok(())
     }
 
-    /// Executes the whole matrix on `jobs` worker threads and aggregates
-    /// the results into a [`CampaignReport`].
-    ///
-    /// `jobs` is clamped to `1..=len()`. Runs are handed to workers in
-    /// run-id order through an atomic cursor; each worker builds, runs and
-    /// drops its own [`Simulator`](crate::Simulator) per run, so no
-    /// simulation state is ever shared. The report is ordered by run id
-    /// regardless of completion order.
+    /// Executes the whole matrix on `jobs` worker threads with the
+    /// default [`Supervision`]: no deadlines, no journal. Shorthand for
+    /// [`Campaign::run_supervised`], whose docs describe the pool; a run
+    /// that panics or fails is quarantined in
+    /// [`CampaignReport::quarantined`], not propagated.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] (from the serial preflight pass —
-    /// nothing has been executed at that point) if any run is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from the simulator itself; `preflight` guarantees
-    /// specs cannot panic on construction.
+    /// Returns the preflight's [`SimError`] if the matrix is invalid
+    /// (nothing has executed at that point).
     pub fn run(&self, jobs: usize) -> Result<CampaignReport, SimError> {
-        self.preflight()?;
-        let started = Instant::now();
-        let mut slots: Vec<Option<SimStats>> = Vec::new();
-        let jobs = jobs.clamp(1, self.runs.len().max(1));
-        if jobs <= 1 {
-            // Serial fast path: no pool, same order, same results.
-            for run in &self.runs {
-                slots.push(Some(run.spec.try_run().map_err(|e| self.wrap(e))?));
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cells: Vec<Mutex<Option<Result<SimStats, SimError>>>> =
-                self.runs.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(run) = self.runs.get(i) else { break };
-                        let result = run.spec.try_run();
-                        *cells[i].lock().expect("result cell poisoned") = Some(result);
-                    });
-                }
-            });
-            for (i, cell) in cells.into_iter().enumerate() {
-                let result = cell
-                    .into_inner()
-                    .expect("result cell poisoned")
-                    .unwrap_or_else(|| unreachable!("worker pool exited with run {i} unexecuted"));
-                slots.push(Some(result.map_err(|e| self.wrap(e))?));
-            }
-        }
-        let wall = started.elapsed();
-        let runs = self
-            .runs
-            .iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(id, (planned, stats))| RunRecord {
-                id,
-                label: planned.label.clone(),
-                workloads: planned
-                    .spec
-                    .workloads()
-                    .iter()
-                    .map(|w| w.name().to_string())
-                    .collect(),
-                policy: planned.spec.policy().name().to_string(),
-                sink: planned.spec.sink().name().to_string(),
-                stats: stats.expect("every slot filled"),
-            })
-            .collect();
-        Ok(CampaignReport {
-            name: self.name.clone(),
-            runs,
-            quarantined: Vec::new(),
-            jobs,
-            wall,
-        })
-    }
-
-    fn wrap(&self, e: SimError) -> SimError {
-        // try_run errors after a passing preflight should be impossible;
-        // if they happen, at least keep the typed error instead of dying.
-        match e {
-            e @ SimError::InvalidRun { .. } => e,
-            other => SimError::InvalidRun {
-                id: usize::MAX,
-                label: self.name.clone(),
-                cause: Box::new(other),
-            },
-        }
+        self.run_supervised(jobs, &Supervision::default())
     }
 }
 
@@ -405,28 +326,13 @@ pub struct CampaignReport {
     pub name: String,
     /// Per-run records, ordered by run id.
     pub runs: Vec<RunRecord>,
-    /// Runs the supervision layer gave up on, ordered by run id. Always
-    /// empty for [`Campaign::run`] (fail-fast has no quarantine); only
-    /// [`Campaign::run_supervised`](crate::Supervision) populates it.
+    /// Runs that did not complete, ordered by run id.
     pub quarantined: Vec<QuarantinedRun>,
-    /// Worker threads used (accounting only — not serialized).
-    pub jobs: usize,
     /// Wall-clock time of the batch (accounting only — not serialized).
     pub wall: Duration,
 }
 
 impl CampaignReport {
-    /// Completed runs per wall-clock second.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.runs.len() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The stats of the run with the given label.
     ///
     /// # Panics
@@ -443,18 +349,9 @@ impl CampaignReport {
             .stats
     }
 
-    /// The stats of the run with the given label, if present.
-    #[must_use]
-    pub fn try_stats(&self, label: &str) -> Option<&SimStats> {
-        self.runs
-            .iter()
-            .find(|r| r.label == label)
-            .map(|r| &r.stats)
-    }
-
     /// Serializes the deterministic payload (name + runs, ordered by run
-    /// id). Wall-clock and job-count accounting are excluded by contract:
-    /// the same matrix must serialize byte-identically whatever `jobs` was.
+    /// id). Wall-clock accounting is excluded by contract: the same matrix
+    /// must serialize byte-identically whatever `jobs` was.
     #[must_use]
     pub fn to_json(&self) -> String {
         let runs = self
@@ -479,9 +376,8 @@ impl CampaignReport {
             ("format".into(), Json::U64(1)),
             ("runs".into(), Json::Arr(runs)),
         ];
-        // Only serialized when non-empty: unsupervised artifacts (and
-        // supervised runs where nothing failed) stay byte-identical to the
-        // pre-supervision format.
+        // Only serialized when non-empty: campaigns where nothing failed
+        // stay byte-identical to the pre-supervision format.
         if !self.quarantined.is_empty() {
             fields.push((
                 "quarantined".into(),
@@ -497,7 +393,7 @@ impl CampaignReport {
     }
 
     /// Reconstructs a report from [`CampaignReport::to_json`] output.
-    /// The non-serialized accounting fields come back zeroed.
+    /// The non-serialized wall-clock time comes back zeroed.
     ///
     /// # Errors
     ///
@@ -567,7 +463,6 @@ impl CampaignReport {
             name,
             runs,
             quarantined,
-            jobs: 0,
             wall: Duration::ZERO,
         })
     }
@@ -650,7 +545,5 @@ mod tests {
         );
         let report = campaign.run(1).expect("runs");
         assert_eq!(report.stats("solo").threads.len(), 1);
-        assert!(report.try_stats("missing").is_none());
-        assert_eq!(report.jobs, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! across the workspace. The panicking entry points (`run`, `new`) are thin
 //! wrappers kept for ergonomics in tests and examples.
 
-use hs_core::{ConfigError, ErrorClass};
+use hs_core::ConfigError;
 use std::error::Error;
 use std::fmt;
 
@@ -60,8 +60,7 @@ pub enum SimError {
         second: usize,
     },
     /// The environment — not the run's specification — failed: a worker
-    /// was lost or a campaign was aborted mid-flight. The one
-    /// [`ErrorClass::Transient`] variant.
+    /// was lost or a campaign was aborted mid-flight.
     Interrupted {
         /// What the environment did.
         what: String,
@@ -116,30 +115,6 @@ impl fmt::Display for SimError {
     }
 }
 
-impl SimError {
-    /// Supervision classification: would re-executing the same spec fail
-    /// the same way?
-    ///
-    /// Everything that is a pure function of the run's specification is
-    /// [`ErrorClass::Permanent`]; only [`SimError::Interrupted`] — the
-    /// environment failing, not the spec — is [`ErrorClass::Transient`].
-    /// [`SimError::InvalidRun`] inherits its cause's class.
-    #[must_use]
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            SimError::Interrupted { .. } => ErrorClass::Transient,
-            SimError::InvalidRun { cause, .. } => cause.class(),
-            SimError::Config(_)
-            | SimError::NoWorkloads
-            | SimError::TooManyWorkloads { .. }
-            | SimError::RunawayCombination
-            | SimError::AdmissionRejected { .. }
-            | SimError::DuplicateLabel { .. }
-            | SimError::Journal { .. } => ErrorClass::Permanent,
-        }
-    }
-}
-
 impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
@@ -185,23 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn classification_splits_spec_from_environment() {
-        assert_eq!(SimError::NoWorkloads.class(), ErrorClass::Permanent);
-        assert_eq!(SimError::RunawayCombination.class(), ErrorClass::Permanent);
-        let e = SimError::Interrupted {
-            what: "worker lost".into(),
-        };
-        assert_eq!(e.class(), ErrorClass::Transient);
-        // InvalidRun inherits from its cause.
-        let wrapped = SimError::InvalidRun {
-            id: 0,
-            label: "x".into(),
-            cause: Box::new(e),
-        };
-        assert_eq!(wrapped.class(), ErrorClass::Transient);
-    }
-
-    #[test]
     fn duplicate_label_names_both_runs() {
         let e = SimError::DuplicateLabel {
             label: "gcc/sedation".into(),
@@ -210,7 +168,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("#2") && s.contains("#5") && s.contains("gcc/sedation"));
-        assert_eq!(e.class(), ErrorClass::Permanent);
     }
 
     #[test]

@@ -47,7 +47,8 @@
 //! Whole evaluation matrices (the paper's figures are cartesian products of
 //! workloads × policies × sinks) run through the deterministic,
 //! multi-threaded [`campaign`] engine; see its module docs for the
-//! parallel-equals-serial contract.
+//! parallel-equals-serial contract and [`supervise`] for the worker pool,
+//! which quarantines a failing run instead of aborting the batch.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -74,4 +75,4 @@ pub use os::{OsScheduler, ScheduleOutcome, SchedulerConfig};
 pub use runner::{RunSpec, RunSpecBuilder};
 pub use simulator::{Observer, SampleView, Simulator};
 pub use stats::{SimStats, ThreadBreakdown, ThreadSummary};
-pub use supervise::{ChaosEvent, ChaosPlan, DeadlineKind, QuarantinedRun, RunOutcome, Supervision};
+pub use supervise::{ChaosPlan, QuarantinedRun, Supervision};

@@ -244,8 +244,12 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SimError`] found by [`RunSpec::preflight`];
-    /// a spec that passes preflight always runs to completion.
+    /// Returns the first [`SimError`] found by [`RunSpec::preflight`].
+    /// Passing preflight does not guarantee completion: under
+    /// [`AdmissionMode::Reject`](crate::AdmissionMode::Reject) a workload
+    /// that screens as a heat-stroke attack passes preflight and is then
+    /// refused by [`Simulator::attach`] with
+    /// [`SimError::AdmissionRejected`].
     pub fn try_run(&self) -> Result<SimStats, SimError> {
         self.preflight()?;
         let mut sim = Simulator::try_new(self.config, self.policy, self.sink)?;

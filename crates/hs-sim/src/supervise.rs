@@ -1,52 +1,54 @@
-//! # Campaign supervision: panic isolation, deadlines, quarantine, chaos
+//! # The campaign engine: panic isolation, deadlines, quarantine, journal
 //!
-//! [`Campaign::run`](crate::Campaign::run) is fail-fast: the first bad run
-//! aborts the batch, a panicking run poisons the whole worker pool, and a
-//! runaway run can stall a campaign forever. That is the right contract
-//! for reproducing the paper's figures, where every run is known good —
-//! and the wrong one for fleet-scale screening of *hostile* guest code,
-//! which is this paper's whole threat model. This module adds the
-//! supervision layer:
+//! Every campaign runs on the one worker pool in this module.
+//! [`Campaign::run`](crate::Campaign::run) is
+//! [`Campaign::run_supervised`] with the default [`Supervision`]; a
+//! supervision is a configuration of the pool, not a second engine. A
+//! screening campaign over *hostile* guest code — this paper's whole
+//! threat model — must survive one bad run, so the pool always provides:
 //!
 //! * **Panic isolation** — each run executes under
-//!   [`std::panic::catch_unwind`]; a poisoned run becomes a typed
-//!   [`RunOutcome::Panicked`] instead of a pool abort. No simulation state
-//!   is shared between runs, so unwinding one run cannot corrupt another
+//!   [`std::panic::catch_unwind`]; a panicking run is quarantined as
+//!   `panicked` instead of aborting the pool. No simulation state is
+//!   shared between runs, so unwinding one run cannot corrupt another
 //!   (every run owns its own `Simulator`).
+//! * **Quarantine** — every run executes exactly once. A run that fails
+//!   lands in [`CampaignReport::quarantined`] as a [`QuarantinedRun`]
+//!   whose `kind` is `failed` (a typed [`SimError`]), `panicked`,
+//!   `timed-out:cycles` or `timed-out:wall`; the rest of the campaign
+//!   completes. Runs are deterministic, so re-executing a panic or a typed
+//!   error in place would only repeat it.
+//!
+//! [`Supervision`] turns on the rest:
+//!
 //! * **Deadlines** — a deterministic *cycle budget* (a run whose
 //!   `warmup + quantum` exceeds the budget is refused before it executes)
 //!   and a cooperative *wall-clock watchdog* (a run that overran the
-//!   deadline is discarded and classified [`RunOutcome::TimedOut`]).
-//! * **Quarantine** — every run executes exactly once. A run that fails
-//!   lands in [`CampaignReport::quarantined`] as a [`QuarantinedRun`];
-//!   the rest of the campaign completes. Runs are deterministic, so
-//!   re-executing a panic or a typed error in place would only repeat it.
+//!   deadline is discarded and quarantined `timed-out:wall`).
 //! * **Crash-safe journal + resume** — with [`Supervision::journal`] set,
 //!   every final outcome is appended to `<name>.journal.jsonl` (one JSON
 //!   record per line, flushed per record); [`Campaign::resume`] replays
 //!   journaled outcomes from disk and executes only the remainder,
-//!   producing a report **byte-identical** to an uninterrupted run. The
-//!   one [`ErrorClass::Transient`] outcome, a wall-clock overrun, is not
-//!   replayed: resume re-executes it.
+//!   producing a report **byte-identical** to an uninterrupted run. A
+//!   wall-clock overrun depends on the host, not the spec, so it is the
+//!   one outcome resume re-executes instead of replaying.
 //! * **Chaos harness** — a [`ChaosPlan`] names run ids that panic, so
 //!   panic isolation and quarantine are exercised deterministically in
 //!   tests and the `chaos` registry experiment.
 //!
 //! ## Determinism
 //!
-//! The supervised engine keeps the campaign engine's serial≡parallel
-//! byte-identity contract: outcomes are keyed by stable run id, chaos is
-//! a pure function of the run id, and the serialized report excludes
-//! everything scheduling-dependent (run wall times, journal record
-//! order). The only nondeterministic input is the wall-clock watchdog,
-//! which supervision treats as a genuine runaway.
+//! Parallel execution is bit-identical to serial: outcomes are keyed by
+//! stable run id, chaos is a pure function of the run id, and the
+//! serialized report excludes everything scheduling-dependent (run wall
+//! times, journal record order). The only nondeterministic input is the
+//! wall-clock watchdog, which supervision treats as a genuine runaway.
 
 use crate::campaign::{Campaign, CampaignReport, PlannedRun, RunRecord};
 use crate::error::SimError;
 use crate::journal::{Journal, JournalEntry};
 use crate::json::Json;
 use crate::stats::SimStats;
-use hs_core::ErrorClass;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -61,10 +63,10 @@ thread_local! {
 }
 
 /// Installs (once, process-wide) a panic hook that stays silent for
-/// panics on supervised worker threads — they are caught, classified and
-/// reported through [`RunOutcome::Panicked`], so the default hook's
-/// backtrace would only spam stderr — and delegates every other panic to
-/// the previously installed hook unchanged.
+/// panics on campaign worker threads — they are caught and quarantined as
+/// `panicked`, so the default hook's backtrace would only spam stderr —
+/// and delegates every other panic to the previously installed hook
+/// unchanged.
 fn silence_supervised_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
@@ -77,79 +79,8 @@ fn silence_supervised_panics() {
     });
 }
 
-/// Which deadline a run overran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineKind {
-    /// The deterministic cycle budget: `warmup + quantum` exceeds
-    /// [`Supervision::cycle_budget`]. Checked *before* execution, so a
-    /// budget-busting run costs nothing — and since the overrun is a pure
-    /// function of the spec, it is permanent (replayed, never re-executed).
-    CycleBudget,
-    /// The cooperative wall-clock watchdog: the run took longer than
-    /// [`Supervision::wall_deadline`]. Environmental, hence transient:
-    /// [`Campaign::resume`] re-executes it.
-    WallClock,
-}
-
-/// The outcome lattice of one supervised run.
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    /// The run finished and produced statistics.
-    Completed(SimStats),
-    /// The run returned a typed error.
-    Failed(SimError),
-    /// The run panicked; the payload's message, with the pool intact.
-    Panicked {
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// The run overran a deadline.
-    TimedOut(DeadlineKind),
-}
-
-impl RunOutcome {
-    /// Supervision classification; `None` for a completed run.
-    #[must_use]
-    pub fn class(&self) -> Option<ErrorClass> {
-        match self {
-            RunOutcome::Completed(_) => None,
-            RunOutcome::Failed(e) => Some(e.class()),
-            // Runs are deterministic: the same spec panics the same way.
-            RunOutcome::Panicked { .. } | RunOutcome::TimedOut(DeadlineKind::CycleBudget) => {
-                Some(ErrorClass::Permanent)
-            }
-            RunOutcome::TimedOut(DeadlineKind::WallClock) => Some(ErrorClass::Transient),
-        }
-    }
-
-    /// Stable kind tag used in journals, artifacts, and renderings.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RunOutcome::Completed(_) => "completed",
-            RunOutcome::Failed(_) => "failed",
-            RunOutcome::Panicked { .. } => "panicked",
-            RunOutcome::TimedOut(DeadlineKind::CycleBudget) => "timed-out:cycles",
-            RunOutcome::TimedOut(DeadlineKind::WallClock) => "timed-out:wall",
-        }
-    }
-
-    /// Deterministic one-line description (no wall-clock measurements).
-    #[must_use]
-    pub fn detail(&self) -> String {
-        match self {
-            RunOutcome::Completed(_) => String::new(),
-            RunOutcome::Failed(e) => e.to_string(),
-            RunOutcome::Panicked { message } => message.clone(),
-            RunOutcome::TimedOut(DeadlineKind::CycleBudget) => {
-                "run needs more cycles than the supervision budget allows".into()
-            }
-            RunOutcome::TimedOut(DeadlineKind::WallClock) => {
-                "run overran the wall-clock deadline".into()
-            }
-        }
-    }
-}
+/// The kind tag of a wall-clock overrun.
+const WALL_OVERRUN: &str = "timed-out:wall";
 
 /// A run the supervisor gave up on: the campaign's poison list entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,7 +89,8 @@ pub struct QuarantinedRun {
     pub id: usize,
     /// The run's label.
     pub label: String,
-    /// Outcome kind tag ([`RunOutcome::kind`]).
+    /// Outcome kind tag: `failed`, `panicked`, `timed-out:cycles` or
+    /// `timed-out:wall`.
     pub kind: String,
     /// Deterministic description of the final failure.
     pub detail: String,
@@ -176,10 +108,11 @@ impl QuarantinedRun {
         ])
     }
 
-    /// Whether the run overran the wall-clock deadline: the one transient
-    /// outcome, which [`Campaign::resume`] re-executes instead of replaying.
+    /// Whether the run overran the wall-clock deadline: the one outcome
+    /// that depends on the host, not the spec, so [`Campaign::resume`]
+    /// re-executes it instead of replaying it.
     fn is_wall_overrun(&self) -> bool {
-        self.kind == RunOutcome::TimedOut(DeadlineKind::WallClock).kind()
+        self.kind == WALL_OVERRUN
     }
 
     /// Reconstructs a record from [`QuarantinedRun::to_json`] output.
@@ -206,15 +139,6 @@ impl QuarantinedRun {
     }
 }
 
-/// What chaos injects into a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEvent {
-    /// Nothing; the run executes normally.
-    None,
-    /// Panic inside the worker before the run executes.
-    Panic,
-}
-
 /// A deterministic fault schedule for the supervision layer itself: the
 /// run ids in [`ChaosPlan::permanent`] panic, every other run executes
 /// normally. Events are a pure function of the run id — never of worker
@@ -233,20 +157,9 @@ impl ChaosPlan {
         self
     }
 
-    /// The planned permanent failures, by run id.
-    #[must_use]
-    pub fn permanent_ids(&self) -> &[usize] {
-        &self.permanent
-    }
-
-    /// The event for one run — a pure function of the plan and the run id.
-    #[must_use]
-    pub fn event(&self, run_id: usize) -> ChaosEvent {
-        if self.permanent.contains(&run_id) {
-            ChaosEvent::Panic
-        } else {
-            ChaosEvent::None
-        }
+    /// Whether run `id` panics — a pure function of the plan and the id.
+    fn panics(&self, id: usize) -> bool {
+        self.permanent.contains(&id)
     }
 }
 
@@ -270,7 +183,8 @@ pub struct Supervision {
     pub abort_after: Option<usize>,
 }
 
-/// A run's final supervised disposition.
+/// A run's final disposition: what the pool collects, journals and
+/// reports.
 #[derive(Debug)]
 enum Done {
     Completed(SimStats),
@@ -278,17 +192,24 @@ enum Done {
 }
 
 impl Campaign {
-    /// Executes the matrix under supervision: panics are isolated,
-    /// deadlines enforced, failed runs quarantined, and (with
-    /// [`Supervision::journal`] set) every outcome journaled crash-safely.
-    /// An existing journal file is **truncated**; use [`Campaign::resume`]
-    /// to continue one.
+    /// Executes the matrix on `jobs` worker threads under `sup`: panics
+    /// are isolated, deadlines enforced, failed runs quarantined, and
+    /// (with [`Supervision::journal`] set) every outcome journaled
+    /// crash-safely. An existing journal file is **truncated**; use
+    /// [`Campaign::resume`] to continue one.
+    ///
+    /// `jobs` is clamped to `1..=` the number of runs to execute. Runs are
+    /// handed to workers in run-id order through an atomic cursor; each
+    /// worker builds, runs and drops its own [`Simulator`](crate::Simulator)
+    /// per run, so no simulation state is ever shared. The report is
+    /// ordered by run id regardless of completion order.
     ///
     /// # Errors
     ///
-    /// Returns the preflight's [`SimError`] for an invalid matrix,
-    /// [`SimError::Journal`] if the journal cannot be written, and
-    /// [`SimError::Interrupted`] if [`Supervision::abort_after`] fired.
+    /// Returns the preflight's [`SimError`] for an invalid matrix (nothing
+    /// has executed at that point), [`SimError::Journal`] if the journal
+    /// cannot be written, and [`SimError::Interrupted`] if
+    /// [`Supervision::abort_after`] fired.
     pub fn run_supervised(
         &self,
         jobs: usize,
@@ -298,9 +219,9 @@ impl Campaign {
     }
 
     /// Like [`Campaign::run_supervised`], but if the journal file already
-    /// exists its completed and permanently quarantined runs are
-    /// **replayed from disk** and only the remainder executes — including
-    /// runs journaled as wall-clock overruns, the one transient outcome.
+    /// exists its completed and quarantined runs are **replayed from
+    /// disk** and only the remainder executes — including runs journaled
+    /// as `timed-out:wall`, which depend on the host and so re-execute.
     /// The resulting report is byte-identical to an uninterrupted run
     /// (journaled statistics round-trip bit-exactly). Without an existing
     /// journal this is a fresh supervised run.
@@ -367,7 +288,7 @@ impl Campaign {
                     }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&id) = pending.get(i) else { break };
-                    let done = supervise_one(&self.runs()[id], id, sup);
+                    let done = attempt_once(&self.runs()[id], id, sup);
                     if let Some(journal) = &journal {
                         match &done {
                             Done::Completed(stats) => {
@@ -430,44 +351,38 @@ impl Campaign {
             name: self.name().to_string(),
             runs,
             quarantined,
-            jobs,
             wall,
         })
     }
 }
 
-/// Runs one planned run to its final disposition: completed, or
-/// quarantined on its one attempt.
-fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision) -> Done {
-    match attempt_once(run, id, sup) {
-        RunOutcome::Completed(stats) => Done::Completed(stats),
-        failed => Done::Quarantined(QuarantinedRun {
+/// One supervised attempt — cycle-budget gate, chaos injection, panic
+/// isolation, wall-clock check — and the run's final disposition.
+fn attempt_once(run: &PlannedRun, id: usize, sup: &Supervision) -> Done {
+    let quarantine = |kind: &str, detail: String| {
+        Done::Quarantined(QuarantinedRun {
             id,
             label: run.label.clone(),
-            kind: failed.kind().to_string(),
-            detail: failed.detail(),
-        }),
-    }
-}
-
-/// One supervised attempt: cycle-budget gate, chaos injection, panic
-/// isolation, wall-clock check.
-fn attempt_once(run: &PlannedRun, id: usize, sup: &Supervision) -> RunOutcome {
+            kind: kind.to_string(),
+            detail,
+        })
+    };
     if let Some(budget) = sup.cycle_budget {
         let cfg = run.spec.config();
         let needed = cfg.warmup_cycles.saturating_add(cfg.quantum_cycles);
         if needed > budget {
-            return RunOutcome::TimedOut(DeadlineKind::CycleBudget);
+            // A pure function of the spec, so resume replays it.
+            return quarantine(
+                "timed-out:cycles",
+                "run needs more cycles than the supervision budget allows".into(),
+            );
         }
     }
-    let chaos = sup.chaos.as_ref().map_or(ChaosEvent::None, |p| p.event(id));
+    let panics = sup.chaos.as_ref().is_some_and(|p| p.panics(id));
     let label = &run.label;
     let started = Instant::now();
     let work = || {
-        assert!(
-            chaos != ChaosEvent::Panic,
-            "chaos: injected panic in `{label}`"
-        );
+        assert!(!panics, "chaos: injected panic in `{label}`");
         run.spec.try_run()
     };
     // `RunSpec` is plain data and each run builds a fresh `Simulator`, so
@@ -477,23 +392,19 @@ fn attempt_once(run: &PlannedRun, id: usize, sup: &Supervision) -> RunOutcome {
     SUPERVISED.with(|s| s.set(false));
     let result = match caught {
         Ok(result) => result,
-        Err(payload) => {
-            return RunOutcome::Panicked {
-                message: panic_message(payload.as_ref()),
-            }
-        }
+        Err(payload) => return quarantine("panicked", panic_message(payload.as_ref())),
     };
     if let Some(limit) = sup.wall_deadline {
         if started.elapsed() > limit {
             // The result is discarded even when Ok: a run that overran its
             // deadline is a runaway by definition, and keeping the result
             // would make the report depend on scheduling luck.
-            return RunOutcome::TimedOut(DeadlineKind::WallClock);
+            return quarantine(WALL_OVERRUN, "run overran the wall-clock deadline".into());
         }
     }
     match result {
-        Ok(stats) => RunOutcome::Completed(stats),
-        Err(e) => RunOutcome::Failed(e),
+        Ok(stats) => Done::Completed(stats),
+        Err(e) => quarantine("failed", e.to_string()),
     }
 }
 
@@ -505,54 +416,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chaos_events_are_pure_and_first_attempt_only() {
-        // Every run has exactly one attempt, and chaos fires on it only for
-        // the planned ids.
-        let plan = ChaosPlan::default().permanent([5, 9]);
-        for id in 0..40 {
-            let e = plan.event(id);
-            assert_eq!(e, plan.event(id), "pure function of the run id");
-            let planned = id == 5 || id == 9;
-            assert_eq!(e == ChaosEvent::Panic, planned, "run {id}");
-        }
-        assert_eq!(plan.permanent_ids(), [5, 9]);
-        assert_eq!(ChaosPlan::default().event(5), ChaosEvent::None);
-    }
-
-    #[test]
-    fn outcome_lattice_classification() {
-        assert_eq!(
-            RunOutcome::TimedOut(DeadlineKind::CycleBudget).class(),
-            Some(ErrorClass::Permanent)
-        );
-        assert_eq!(
-            RunOutcome::TimedOut(DeadlineKind::WallClock).class(),
-            Some(ErrorClass::Transient)
-        );
-        assert_eq!(
-            RunOutcome::Panicked {
-                message: "x".into()
-            }
-            .class(),
-            Some(ErrorClass::Permanent),
-            "a deterministic run panics the same way every time"
-        );
-        assert_eq!(
-            RunOutcome::Failed(SimError::NoWorkloads).class(),
-            Some(ErrorClass::Permanent)
-        );
-        assert_eq!(RunOutcome::Completed(SimStats::default()).class(), None);
-        assert_eq!(
-            RunOutcome::TimedOut(DeadlineKind::CycleBudget).kind(),
-            "timed-out:cycles"
-        );
     }
 }

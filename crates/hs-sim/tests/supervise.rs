@@ -1,10 +1,9 @@
 //! Integration tests for the campaign supervision layer: determinism under
 //! chaos, panic isolation, deadlines, quarantine, and journal + resume.
 
-use hs_core::ErrorClass;
 use hs_sim::campaign::CampaignMatrix;
 use hs_sim::{
-    Campaign, ChaosPlan, HeatSink, PolicyKind, RunOutcome, RunSpec, SimConfig, SimError,
+    AdmissionMode, Campaign, ChaosPlan, HeatSink, PolicyKind, RunSpec, SimConfig, SimError,
     Supervision,
 };
 use hs_workloads::{SpecWorkload, Workload};
@@ -120,13 +119,6 @@ fn a_panic_is_permanent_and_quarantined_on_its_one_attempt() {
         panic!("one quarantined run, got {:?}", report.quarantined);
     };
     assert_eq!((q.id, q.kind.as_str()), (4, "panicked"));
-    assert_eq!(
-        RunOutcome::Panicked {
-            message: q.detail.clone()
-        }
-        .class(),
-        Some(ErrorClass::Permanent)
-    );
 
     // One attempt, one journal record: nothing re-executed the panic.
     let journal = std::fs::read_to_string(&path).expect("journal");
@@ -142,6 +134,38 @@ fn a_panic_is_permanent_and_quarantined_on_its_one_attempt() {
     let resumed = campaign.resume(2, &clean).expect("resume");
     assert_eq!(resumed.to_json(), report.to_json());
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_run_that_fails_after_preflight_is_quarantined_as_failed() {
+    // Under admission rejection variant2 passes preflight and is refused
+    // at attach: `Campaign::run` quarantines it and completes the rest.
+    let mut cfg = tiny();
+    cfg.admission = AdmissionMode::Reject;
+    let campaign = CampaignMatrix::new(cfg)
+        .workloads("gcc", [Workload::Spec(SpecWorkload::Gcc)])
+        .workloads("v2", [Workload::Variant2])
+        .policy(PolicyKind::StopAndGo)
+        .sink(HeatSink::Ideal)
+        .build("screen")
+        .expect("valid matrix");
+    campaign.preflight().expect("both runs pass preflight");
+    let report = campaign
+        .run(2)
+        .expect("a failed run does not abort the batch");
+    assert_eq!(report.runs.len(), 1);
+    assert_eq!(report.runs[0].label, "gcc/stop-and-go/ideal");
+    let [q] = report.quarantined.as_slice() else {
+        panic!("one quarantined run, got {:?}", report.quarantined);
+    };
+    assert_eq!((q.id, q.label.as_str()), (1, "v2/stop-and-go/ideal"));
+    assert_eq!(q.kind, "failed");
+    assert!(
+        q.detail
+            .starts_with("admission screening rejected `variant2`"),
+        "detail is the AdmissionRejected text: {}",
+        q.detail
+    );
 }
 
 #[test]
