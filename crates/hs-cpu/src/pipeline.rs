@@ -12,7 +12,7 @@ use crate::resources::{AccessMatrix, Resource, ThreadId, MAX_THREADS};
 use crate::stats::ThreadStats;
 use crate::thread::{FetchedInst, ThreadContext};
 use hs_isa::inst::FuClass;
-use hs_isa::machine::execute_one;
+use hs_isa::machine::{advance, execute_one};
 use hs_isa::{InstIndex, Program};
 use hs_mem::{AccessKind, MemConfig, MemoryHierarchy};
 use std::collections::VecDeque;
@@ -300,22 +300,10 @@ impl Cpu {
         self.ruu_live as usize
     }
 
-    /// Live RUU entries belonging to thread `ti` (diagnostics).
-    #[must_use]
-    pub fn thread_order_len(&self, ti: usize) -> usize {
-        self.thread_order[ti].len()
-    }
-
     /// Memory-hierarchy statistics.
     #[must_use]
     pub fn mem_stats(&self) -> hs_mem::LevelStats {
         self.hierarchy.stats()
-    }
-
-    /// Branch-predictor accuracy so far.
-    #[must_use]
-    pub fn bpred_accuracy(&self) -> f64 {
-        self.bpred.accuracy()
     }
 
     /// Drains and returns the per-thread, per-resource access counts
@@ -355,9 +343,9 @@ impl Cpu {
     ///    from an empty pipeline (the caller's phase detector absorbs the
     ///    short refill ramp).
     /// 3. **Advance the program.** Execute `sample.committed[t]`
-    ///    instructions per thread through the architectural interpreter,
-    ///    then merge the extrapolated access events into the matrix drained
-    ///    by [`Self::take_access_counts`].
+    ///    instructions per thread (less those retired in step 1) with one
+    ///    [`hs_isa::advance`] batch each, then merge the extrapolated access
+    ///    events into the matrix drained by [`Self::take_access_counts`].
     ///
     /// [`Self::cycle`] is deliberately not advanced: the simulator owns
     /// simulated time.
@@ -403,26 +391,23 @@ impl Cpu {
                 t.halted = false;
             }
         }
-        // Step 3: functional fast-forward from the dispatch frontier.
+        // Step 3: functional fast-forward from the dispatch frontier, one
+        // batch per thread.
         for (ti, t) in self.threads.iter_mut().enumerate() {
-            let mut pc = t.next_dispatch_pc;
-            for _ in 0..sample.committed[ti].saturating_sub(retired[ti]) {
-                if t.halted {
-                    break;
-                }
-                let Some(inst) = t.program.get(pc) else {
-                    t.halted = true;
-                    break;
-                };
-                let outcome = execute_one(inst.kind(), pc, &mut t.arch, &mut t.memory);
-                pc = outcome.next_pc;
-                t.stats.committed += 1;
-                if outcome.halted {
-                    t.halted = true;
-                }
+            if !t.halted {
+                let budget = sample.committed[ti].saturating_sub(retired[ti]);
+                let a = advance(
+                    &t.program,
+                    t.next_dispatch_pc,
+                    &mut t.arch,
+                    &mut t.memory,
+                    budget,
+                );
+                t.stats.committed += a.executed;
+                t.halted = a.halted;
+                t.next_dispatch_pc = a.next_pc;
             }
-            t.next_dispatch_pc = pc;
-            t.fetch_pc = pc;
+            t.fetch_pc = t.next_dispatch_pc;
         }
         self.events.merge(&sample.counts);
     }
@@ -1416,6 +1401,72 @@ mod tests {
             cpu.access_counts().resource_total(Resource::IntRegFile),
             events + 17
         );
+    }
+
+    /// A loop that reads, increments and writes back a word per iteration,
+    /// walking a 64 KiB region (16 pages) so both reads of earlier writes
+    /// and page crossings occur.
+    fn load_store_loop(iters: u64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let (i, ptr, v) = (IntReg::new(1), IntReg::new(2), IntReg::new(3));
+        b.load_imm(ptr, 0x40_0000);
+        let top = b.label();
+        b.load(v, ptr, 0);
+        b.addi(v, v, 3);
+        b.store(v, ptr, 0);
+        b.addi(ptr, ptr, 72);
+        b.int_alu(AluOp::And, ptr, ptr, Operand::Imm(0x40_ffff));
+        b.addi(i, i, 1);
+        b.branch(BranchCond::Lt, i, Operand::Imm(iters), top);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// A core that ran `program` for `cycles` and was then squashed by an
+    /// empty credit, so its pipeline holds nothing in flight.
+    fn squashed_cpu(program: &Program, cycles: u64) -> Cpu {
+        let mut cpu = small_cpu();
+        let t = cpu.attach_thread(program.clone());
+        run_cycles(&mut cpu, cycles);
+        cpu.fast_forward(&crate::phase::PhaseSample::zero());
+        assert!(cpu.thread_order[t.index()].is_empty());
+        cpu
+    }
+
+    #[test]
+    fn fast_forward_credits_split_freely() {
+        // From a squashed pipeline, crediting `a` then `b` instructions
+        // lands exactly where crediting `a + b` at once does, including
+        // splits that cross the program's halt.
+        for (program, total) in [
+            (counting_loop(20_000), 40_001),
+            (load_store_loop(3_000), 21_002),
+        ] {
+            for (a, b) in [(0, 7), (1, 1), (333, 4_000), (9_999, 1), (12_345, 40_000)] {
+                let credit = |n: u64| {
+                    let mut s = crate::phase::PhaseSample::zero();
+                    s.committed[0] = n;
+                    s
+                };
+                let mut split = squashed_cpu(&program, 500);
+                split.fast_forward(&credit(a));
+                split.fast_forward(&credit(b));
+                let mut whole = squashed_cpu(&program, 500);
+                whole.fast_forward(&credit(a + b));
+
+                let (s, w) = (&split.threads[0], &whole.threads[0]);
+                assert_eq!(s.stats.committed, w.stats.committed, "{a}+{b}");
+                assert_eq!(s.arch, w.arch, "{a}+{b}");
+                assert_eq!(s.next_dispatch_pc, w.next_dispatch_pc, "{a}+{b}");
+                assert_eq!(s.halted, w.halted, "{a}+{b}");
+                assert_eq!(s.memory.footprint_words(), w.memory.footprint_words());
+                for addr in (0x40_0000..0x41_0000).step_by(8) {
+                    assert_eq!(s.memory.read(addr), w.memory.read(addr), "{a}+{b}");
+                }
+                // The halt retires exactly once, at the program's length.
+                assert_eq!(w.halted, w.stats.committed == total, "{a}+{b}");
+            }
+        }
     }
 
     #[test]

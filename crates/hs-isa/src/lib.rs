@@ -50,6 +50,6 @@ pub mod semantics;
 pub use asm::{assemble, AsmError};
 pub use builder::{BuildError, Label, ProgramBuilder};
 pub use inst::{AluOp, BranchCond, FpOp, FuClass, Instruction, Kind, Operand};
-pub use machine::{ArchState, FlatMemory, Machine, StepOutcome};
+pub use machine::{advance, Advance, ArchState, FlatMemory, Machine, StepOutcome};
 pub use program::{InstIndex, Program};
 pub use reg::{FpReg, IntReg, NUM_FP_REGS, NUM_INT_REGS};

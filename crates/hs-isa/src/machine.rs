@@ -1,16 +1,17 @@
 //! An architectural (functional) interpreter for the ISA.
 //!
-//! [`Machine`] executes a [`Program`] one instruction at a time against an
-//! [`ArchState`] and a sparse [`FlatMemory`]. The SMT pipeline in `hs-cpu`
-//! performs the same updates at dispatch time (the classic
-//! SimpleScalar-style "execute at dispatch, time in the RUU" organization),
-//! so this interpreter doubles as the reference model for differential
-//! testing.
+//! [`Machine`] executes a [`Program`] against an [`ArchState`] and a sparse
+//! [`FlatMemory`], one instruction at a time ([`Machine::step`]) or in
+//! batches ([`advance`]). The SMT pipeline in `hs-cpu` performs the same
+//! updates at dispatch time (the classic SimpleScalar-style "execute at
+//! dispatch, time in the RUU" organization), so this interpreter doubles as
+//! the reference model for differential testing.
 
 use crate::inst::Kind;
 use crate::program::{InstIndex, Program};
 use crate::reg::{NUM_FP_REGS, NUM_INT_REGS};
 use crate::semantics::{eval_alu, eval_branch, eval_fp};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Architectural register state plus the program counter.
@@ -94,12 +95,70 @@ impl std::hash::Hasher for AddrHasher {
 
 type AddrState = std::hash::BuildHasherDefault<AddrHasher>;
 
+/// Words per [`FlatMemory`] page: 4 KiB of 8-byte words.
+const PAGE_WORDS: usize = 512;
+/// log2 of the page size in bytes.
+const PAGE_SHIFT: u32 = 12;
+/// A page number no address maps to (`addr >> PAGE_SHIFT` < 2^52): marks
+/// an empty page cache.
+const NO_PAGE: u64 = u64::MAX;
+
+/// One 4 KiB page: its words plus one written-bit per word, so words
+/// written with 0 still count towards [`FlatMemory::footprint_words`].
+#[derive(Debug, Clone)]
+struct Page {
+    words: [u64; PAGE_WORDS],
+    written: [u64; PAGE_WORDS / 64],
+}
+
+impl Page {
+    fn zeroed() -> Self {
+        Page {
+            words: [0; PAGE_WORDS],
+            written: [0; PAGE_WORDS / 64],
+        }
+    }
+}
+
+/// The page number and word slot of a byte address.
+#[inline(always)]
+fn split(addr: u64) -> (u64, usize) {
+    (addr >> PAGE_SHIFT, ((addr >> 3) as usize) % PAGE_WORDS)
+}
+
 /// A sparse, word-granular data memory. Addresses are byte addresses; loads
 /// and stores access naturally aligned 8-byte words (the low three address
 /// bits are ignored, matching the simplified data path of the simulator).
-#[derive(Debug, Clone, Default)]
+///
+/// Storage is paged: 4 KiB pages allocated on first write and found through
+/// an [`AddrHasher`] map. Loads and stores each cache the last page they
+/// found, so a program that streams loads from one region while storing to
+/// another skips the hash on almost every access. The load cache also
+/// remembers a page that was never written (every word reads 0), and sits
+/// in a [`Cell`] so that `&self` reads can refresh it.
+#[derive(Debug, Clone)]
 pub struct FlatMemory {
-    words: HashMap<u64, u64, AddrState>,
+    /// Page number → index into `pages`.
+    index: HashMap<u64, u32, AddrState>,
+    pages: Vec<Page>,
+    /// The last page read: `(page number, index into pages or ABSENT)`.
+    last_read: Cell<(u64, u32)>,
+    /// The last page written: `(page number, index into pages)`.
+    last_write: (u64, u32),
+}
+
+/// A `last_read` index for a page that holds no written word.
+const ABSENT: u32 = u32::MAX;
+
+impl Default for FlatMemory {
+    fn default() -> Self {
+        FlatMemory {
+            index: HashMap::default(),
+            pages: Vec::new(),
+            last_read: Cell::new((NO_PAGE, ABSENT)),
+            last_write: (NO_PAGE, ABSENT),
+        }
+    }
 }
 
 impl FlatMemory {
@@ -111,19 +170,57 @@ impl FlatMemory {
 
     /// Reads the 8-byte word containing `addr`.
     #[must_use]
+    #[inline(always)]
     pub fn read(&self, addr: u64) -> u64 {
-        *self.words.get(&(addr & !7)).unwrap_or(&0)
+        let (page, slot) = split(addr);
+        let (last, mut i) = self.last_read.get();
+        if last != page {
+            i = self.index.get(&page).copied().unwrap_or(ABSENT);
+            self.last_read.set((page, i));
+        }
+        if i == ABSENT {
+            0
+        } else {
+            self.pages[i as usize].words[slot]
+        }
     }
 
     /// Writes the 8-byte word containing `addr`.
+    #[inline(always)]
     pub fn write(&mut self, addr: u64, value: u64) {
-        self.words.insert(addr & !7, value);
+        let (page, slot) = split(addr);
+        if self.last_write.0 != page {
+            self.last_write = (page, self.page_or_insert(page));
+        }
+        let p = &mut self.pages[self.last_write.1 as usize];
+        p.words[slot] = value;
+        p.written[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// The index of page `page`, allocating it zeroed on first write.
+    fn page_or_insert(&mut self, page: u64) -> u32 {
+        if let Some(&i) = self.index.get(&page) {
+            return i;
+        }
+        let i = u32::try_from(self.pages.len())
+            .ok()
+            .filter(|&i| i != ABSENT)
+            .expect("fewer than 2^32 - 1 pages");
+        self.pages.push(Page::zeroed());
+        self.index.insert(page, i);
+        // The load cache may remember this page as never written.
+        self.last_read.set((page, i));
+        i
     }
 
     /// Number of distinct words ever written.
     #[must_use]
     pub fn footprint_words(&self) -> usize {
-        self.words.len()
+        self.pages
+            .iter()
+            .flat_map(|p| p.written)
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -218,11 +315,11 @@ impl Machine {
             return None;
         }
         let pc = self.state.pc;
-        let Some(inst) = self.program.get(pc).copied() else {
+        let Some(inst) = self.program.get(pc) else {
             self.state.halted = true;
             return None;
         };
-        let outcome = execute_one(&inst.kind().clone(), pc, &mut self.state, &mut self.memory);
+        let outcome = execute_one(inst.kind(), pc, &mut self.state, &mut self.memory);
         self.retired += 1;
         self.state.pc = outcome.next_pc;
         if outcome.halted {
@@ -231,18 +328,30 @@ impl Machine {
         Some(outcome)
     }
 
-    /// Executes up to `max_steps` instructions; returns how many retired.
+    /// Executes up to `max_steps` instructions through [`advance`]; returns
+    /// how many retired.
     pub fn run(&mut self, max_steps: u64) -> u64 {
-        let mut n = 0;
-        while n < max_steps && self.step().is_some() {
-            n += 1;
+        if self.state.halted {
+            return 0;
         }
-        n
+        let a = advance(
+            &self.program,
+            self.state.pc,
+            &mut self.state,
+            &mut self.memory,
+            max_steps,
+        );
+        self.retired += a.executed;
+        self.state.pc = a.next_pc;
+        self.state.halted = a.halted;
+        a.executed
     }
 }
 
 /// Executes a single instruction's architectural effects. Shared with the
-/// pipeline's dispatch stage in `hs-cpu`.
+/// pipeline's dispatch stage in `hs-cpu` and inlined into [`advance`], so
+/// the instruction semantics are defined here once.
+#[inline(always)]
 pub fn execute_one(
     kind: &Kind,
     pc: InstIndex,
@@ -309,6 +418,55 @@ pub fn execute_one(
         next_pc,
         mem_addr,
         branch_taken,
+        halted,
+    }
+}
+
+/// What one [`advance`] batch did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Advance {
+    /// The PC after the batch: the next instruction to execute, or the
+    /// `halt` itself / the out-of-range PC when `halted` is set.
+    pub next_pc: InstIndex,
+    /// Instructions executed (a `halt` counts; running off the end does not).
+    pub executed: u64,
+    /// Whether the batch stopped on a `halt` or ran off the program's end.
+    pub halted: bool,
+}
+
+/// Executes up to `max` instructions of `program` from `pc`: the batch form
+/// of [`execute_one`], for callers that need only the architectural result
+/// (interval-mode fast-forward in `hs-cpu`, [`Machine::run`]).
+///
+/// The batch stops early on a `halt`, which is counted and leaves the PC on
+/// itself, or when the PC leaves the program, which counts nothing. Neither
+/// `state.pc` nor `state.halted` is read or written: the caller owns the
+/// program position.
+pub fn advance(
+    program: &Program,
+    mut pc: InstIndex,
+    state: &mut ArchState,
+    memory: &mut FlatMemory,
+    max: u64,
+) -> Advance {
+    let mut executed = 0;
+    let mut halted = false;
+    while executed < max {
+        let Some(inst) = program.get(pc) else {
+            halted = true;
+            break;
+        };
+        let outcome = execute_one(inst.kind(), pc, state, memory);
+        executed += 1;
+        pc = outcome.next_pc;
+        if outcome.halted {
+            halted = true;
+            break;
+        }
+    }
+    Advance {
+        next_pc: pc,
+        executed,
         halted,
     }
 }
